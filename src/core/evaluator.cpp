@@ -124,22 +124,21 @@ Evaluator::Evaluator(const TaskChain& chain, int max_procs,
     }
   }
 
-  // Content hashes for incremental re-solves: a task's hash covers its
-  // execution row, an edge's its redistribution row and external block.
-  // Cheap next to the tabulation itself (one pass over the same memory).
+  // Content hashes for incremental re-solves and the engine's request
+  // key: a task's hash covers its execution row, an edge's its
+  // redistribution row and external block.
   if (tabulated_) {
     task_hash_.resize(k_);
     for (int t = 0; t < k_; ++t) {
-      task_hash_[t] = FnvHashDoubles(
-          &exec_table_[static_cast<std::size_t>(t) * pp], pp);
+      task_hash_[t] =
+          HashDoubles(&exec_table_[static_cast<std::size_t>(t) * pp], pp);
     }
     edge_hash_.resize(std::max(0, k_ - 1));
     for (int e = 0; e < k_ - 1; ++e) {
-      std::uint64_t h = FnvHashDoubles(
-          &icom_table_[static_cast<std::size_t>(e) * pp], pp);
-      edge_hash_[e] = FnvHashDoubles(
-          &ecom_table_[static_cast<std::size_t>(e) * pp * pp],
-          static_cast<std::size_t>(pp) * pp, h);
+      edge_hash_[e] = HashCombine(
+          HashDoubles(&icom_table_[static_cast<std::size_t>(e) * pp], pp),
+          HashDoubles(&ecom_table_[static_cast<std::size_t>(e) * pp * pp],
+                      static_cast<std::size_t>(pp) * pp));
     }
   }
 }

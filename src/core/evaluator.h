@@ -78,12 +78,13 @@ class Evaluator {
   /// rows directly instead of calling ECom per cell.
   const double* EComRow(int edge, int sender_procs) const;
 
-  /// FNV-1a content hash of task `task`'s tabulated execution row, and of
-  /// edge `edge`'s internal-redistribution row plus external-communication
-  /// block. Two evaluators with equal hashes (and equal range caches, see
-  /// the accessors below) agree on every cost the DP reads for that task /
-  /// edge — the foundation of the incremental re-solve's dirty-suffix
-  /// detection. Tabulated evaluators only.
+  /// Content hash (support/hash.h) of task `task`'s tabulated execution
+  /// row, and of edge `edge`'s internal-redistribution row plus
+  /// external-communication block. Two evaluators with equal hashes (and
+  /// equal range caches, see the accessors below) agree on every cost the
+  /// DP reads for that task / edge — the foundation of the incremental
+  /// re-solve's dirty-suffix detection and of the engine's request key.
+  /// Tabulated evaluators only.
   std::uint64_t TaskCostHash(int task) const;
   std::uint64_t EdgeCostHash(int edge) const;
 

@@ -1,20 +1,6 @@
 #include "engine/fingerprint.h"
 
-#include <cstring>
-#include <string>
-
 namespace pipemap {
-
-FingerprintBuilder& FingerprintBuilder::Append(double v) {
-  // Raw IEEE-754 bytes: exact, and canonical as long as no NaN payloads
-  // reach a fingerprinted field (the engine fingerprints user-provided
-  // scalars like throughput floors, never computed results).
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  hash_ = Fnv1a64("d", hash_);
-  return Append(bits);
-}
 
 std::string FingerprintHex(std::uint64_t fingerprint) {
   static const char* kDigits = "0123456789abcdef";

@@ -1,41 +1,46 @@
-// Stable 64-bit fingerprints for engine cache keys.
+// The engine's request key: one 64-bit value that names a mapping problem
+// (RequestKey in engine/mapping_engine.h, built with FingerprintBuilder).
 //
-// The solution cache must key on everything that can change the returned
-// mapping and nothing else. Rather than hashing in-memory structs (fragile
-// under padding, field reordering, or pointer members), the fingerprint is
-// computed over the canonical text serializations from src/io/ — the same
-// bytes that round-trip through files — chained through 64-bit FNV-1a.
-// Identical problems therefore fingerprint identically across processes
-// and runs, which is what makes the cache testable ("map twice, diff").
+// The mappers read a problem only through its Evaluator (paper §3: O(1)
+// lookups of f_exec, f_icom and f_ecom at every processor count up to P,
+// plus each module's memory minimum and replicability). The key is
+// therefore built from what the Evaluator already holds — its per-task
+// and per-edge content hashes, its min-procs and replicable range
+// tables, k and P — folded together with the machine, option, objective,
+// solver, floor and feasibility fields of the request. Two requests with
+// equal keys present the solvers with identical inputs, so a cached,
+// shared or disk-persisted answer is what a fresh solve would return by
+// construction. A single flipped bit in any table entry always changes
+// the key (support/hash.h).
+//
+// The same key names the solution cache entry, the single-flight flight,
+// the disk tier's file and, extended by the sweep parameter, the frontier
+// and sizing memos. Without its cost part it keys the warm pool, whose
+// captured DP sweeps validate the chain's costs themselves.
+//
+// Keys are stable across processes and thread counts (the tables are
+// bit-identical for every thread count). A request is uncacheable — key
+// 0 — when it carries a custom proc_feasible closure or its Evaluator is
+// untabulated (P above the tabulation limit, no content hashes).
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+
+#include "support/hash.h"
 
 namespace pipemap {
 
-inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ull;
-
-/// FNV-1a over `data`, continuing from `seed` so fragments chain.
-constexpr std::uint64_t Fnv1a64(std::string_view data,
-                                std::uint64_t seed = kFnv1aOffset) {
-  std::uint64_t h = seed;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnv1aPrime;
-  }
-  return h;
-}
-
-/// Incremental fingerprint accumulator. Every Append mixes a one-byte
-/// type tag before the payload so adjacent fields cannot alias (e.g. the
-/// strings "ab" + "c" vs "a" + "bc" hash differently).
+/// Typed key accumulator. Every Append folds a type tag before the
+/// payload so adjacent fields cannot alias (e.g. the strings "ab" + "c"
+/// vs "a" + "bc" hash differently).
 class FingerprintBuilder {
  public:
   FingerprintBuilder& Append(std::string_view s) {
-    hash_ = Fnv1a64("s", hash_);
-    hash_ = Fnv1a64(s, hash_);
+    hash_ = HashCombine(hash_, 's');
+    hash_ = HashCombine(hash_, s.size());
+    hash_ = HashCombine(hash_, Fnv1a64(s));
     return *this;
   }
   /// Without this overload a string literal would convert to bool
@@ -45,12 +50,8 @@ class FingerprintBuilder {
     return Append(std::string_view(s));
   }
   FingerprintBuilder& Append(std::uint64_t v) {
-    hash_ = Fnv1a64("u", hash_);
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    hash_ = Fnv1a64(std::string_view(bytes, 8), hash_);
+    hash_ = HashCombine(hash_, 'u');
+    hash_ = HashCombine(hash_, v);
     return *this;
   }
   FingerprintBuilder& Append(std::int64_t v) {
@@ -62,7 +63,11 @@ class FingerprintBuilder {
   FingerprintBuilder& Append(bool v) {
     return Append(static_cast<std::uint64_t>(v ? 1 : 0));
   }
-  FingerprintBuilder& Append(double v);
+  /// Raw IEEE-754 bits: exact, so -0.0 and 0.0 are different keys.
+  FingerprintBuilder& Append(double v) {
+    hash_ = HashCombine(hash_, 'd');
+    return Append(DoubleBits(v));
+  }
 
   std::uint64_t value() const { return hash_; }
 

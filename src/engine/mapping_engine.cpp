@@ -64,9 +64,41 @@ void ValidateRequest(const MapRequest& request) {
                 "MapRequest: latency_with_floor needs min_throughput > 0");
 }
 
+/// The request's Evaluator: the caller's, checked against the request, or
+/// a fresh one in `owned`. Built once per request, it keys the caches and
+/// feeds the solvers.
+const Evaluator& RequestEvaluator(const MapRequest& request, int procs,
+                                  std::optional<Evaluator>* owned) {
+  if (request.eval != nullptr) {
+    PIPEMAP_CHECK(&request.eval->chain() == request.chain &&
+                      request.eval->max_procs() == procs &&
+                      request.eval->node_memory_bytes() ==
+                          request.machine.node_memory_bytes,
+                  "MapRequest: eval was built for another chain, budget or "
+                  "node memory");
+    return *request.eval;
+  }
+  owned->emplace(*request.chain, procs, request.machine.node_memory_bytes,
+                 request.options.num_threads);
+  return **owned;
+}
+
+/// Memo key of a sweep: the request key extended by the sweep kind and
+/// its parameter; 0 when the request is uncacheable.
+std::uint64_t SweepKey(const MapRequest& request, int procs,
+                       const Evaluator& eval, const char* sweep,
+                       double parameter) {
+  const std::uint64_t key =
+      request.use_cache ? RequestKey(request, procs, &eval) : 0;
+  if (key == 0) return 0;
+  FingerprintBuilder fb;
+  fb.Append(sweep).Append(key).Append(parameter);
+  return fb.value();
+}
+
 /// Resolved MapperOptions: the machine-derived feasibility predicate is
-/// installed here, after fingerprinting, so it never leaks into the cache
-/// key (the machine serialization already covers it).
+/// installed here, after keying, so it never leaks into the cache key
+/// (the machine's grid fields already cover it).
 MapperOptions ResolveOptions(const MapRequest& request) {
   MapperOptions options = request.options;
   if (request.machine_feasibility && !options.proc_feasible) {
@@ -74,6 +106,51 @@ MapperOptions ResolveOptions(const MapRequest& request) {
         FeasibilityChecker(request.machine).ProcCountPredicate();
   }
   return options;
+}
+
+/// Fills `response` with a cached or shared solve's answer.
+void Replay(const CachedSolution& solved, MapResponse* response) {
+  response->mapping = ParseMapping(solved.mapping_text);
+  response->objective_value = solved.objective_value;
+  response->throughput = solved.throughput;
+  response->latency = solved.latency;
+  response->solver = solved.solver;
+  response->exact = solved.exact;
+}
+
+/// Inserts `value` under `key` into a FIFO memo bounded at `capacity`
+/// entries; `order` lists the keys oldest first. Caller holds the lock.
+template <typename V>
+void FifoInsert(std::unordered_map<std::uint64_t, V>& memo,
+                std::deque<std::uint64_t>& order, std::size_t capacity,
+                std::uint64_t key, V value) {
+  if (memo.size() >= capacity && !order.empty()) {
+    memo.erase(order.front());
+    order.pop_front();
+  }
+  if (memo.emplace(key, std::move(value)).second) order.push_back(key);
+}
+
+/// Runs `sweep(options)` with one warm-start state threaded through all
+/// of its solves, adding the state's reuse counts to `stats`.
+template <typename Sweep>
+auto WarmSweep(const MapRequest& request, SweepStats* stats, Sweep sweep) {
+  MapperOptions options = ResolveOptions(request);
+  if (!options.warm) options.warm = std::make_shared<WarmStartState>();
+  const WarmStartState& warm = *options.warm;
+  const std::uint64_t built0 = warm.tables_built;
+  const std::uint64_t reused0 = warm.tables_reused;
+  const std::uint64_t seeded0 = warm.incumbents_seeded;
+  auto result = sweep(options);
+  if (stats != nullptr) {
+    stats->warm_tables_built += warm.tables_built - built0;
+    stats->warm_tables_reused += warm.tables_reused - reused0;
+    stats->warm_incumbents_seeded += warm.incumbents_seeded - seeded0;
+    // Every DP run either builds or reuses the range tables exactly once.
+    stats->solves +=
+        (warm.tables_built - built0) + (warm.tables_reused - reused0);
+  }
+  return result;
 }
 
 /// RAII around a single-flight leader's obligation to publish: unless a
@@ -152,18 +229,70 @@ MappingEngine& MappingEngine::Shared() {
   return engine;
 }
 
-std::uint64_t MappingEngine::WarmPoolKey(const MapRequest& request,
-                                         int procs) const {
+// Key-completeness guards: these mirrors list every field of the structs
+// RequestKey reads field by field. A new field changes the struct's size
+// and breaks the build here, so whoever adds it decides whether the key
+// covers it. Left out on purpose: the MapperOptions execution knobs
+// (num_threads, observe, warm, incremental, deadline), none of which can
+// change a cacheable answer, and proc_feasible, which makes a request
+// uncacheable.
+struct MachineConfigMirror {
+  std::string name;
+  int grid_rows, grid_cols;
+  double node_memory_bytes;
+  CommMode comm_mode;
+  double node_flops, msg_overhead_s, transfer_startup_s, node_bandwidth,
+      sync_per_proc_s;
+  int pathways_per_link;
+};
+struct MapperOptionsMirror {
+  ReplicationPolicy replication;
+  bool allow_clustering;
+  ProcPredicate proc_feasible;
+  std::size_t max_table_bytes;
+  int num_threads;
+  bool observe;
+  std::shared_ptr<WarmStartState> warm;
+  bool incremental;
+  std::shared_ptr<const Deadline> deadline;
+};
+static_assert(sizeof(MachineConfig) == sizeof(MachineConfigMirror) &&
+                  sizeof(MapperOptions) == sizeof(MapperOptionsMirror),
+              "MachineConfig or MapperOptions changed: decide whether "
+              "RequestKey covers the field, then update the mirror");
+
+std::uint64_t RequestKey(const MapRequest& request, int procs,
+                         const Evaluator* costs) {
+  if (request.options.proc_feasible) return 0;
+  if (costs != nullptr && !costs->tabulated()) return 0;
+  const MachineConfig& m = request.machine;
+  const MapperOptions& o = request.options;
   FingerprintBuilder fb;
-  fb.Append("pipemap-warm-pool v1");
-  fb.Append(SerializeMachine(request.machine));
-  fb.Append(SerializeMapperOptions(request.options));
+  fb.Append("pipemap-request v2");
+  fb.Append(m.name).Append(m.grid_rows).Append(m.grid_cols);
+  fb.Append(m.node_memory_bytes).Append(static_cast<int>(m.comm_mode));
+  fb.Append(m.node_flops).Append(m.msg_overhead_s);
+  fb.Append(m.transfer_startup_s).Append(m.node_bandwidth);
+  fb.Append(m.sync_per_proc_s).Append(m.pathways_per_link);
+  fb.Append(static_cast<int>(o.replication)).Append(o.allow_clustering);
+  fb.Append(static_cast<std::uint64_t>(o.max_table_bytes));
   fb.Append(static_cast<int>(request.objective));
   fb.Append(static_cast<int>(request.solver));
-  fb.Append(procs);
-  fb.Append(request.min_throughput);
+  fb.Append(procs).Append(request.min_throughput);
   fb.Append(request.machine_feasibility);
-  return fb.value();
+  if (costs == nullptr) return fb.value();
+
+  const int k = costs->num_tasks();
+  fb.Append(k).Append(costs->max_procs());
+  for (int t = 0; t < k; ++t) fb.Append(costs->TaskCostHash(t));
+  for (int e = 0; e + 1 < k; ++e) fb.Append(costs->EdgeCostHash(e));
+  const std::vector<int>& min_procs = costs->min_procs_table();
+  const std::vector<char>& replicable = costs->replicable_table();
+  for (std::size_t i = 0; i < min_procs.size(); ++i) {
+    fb.Append((static_cast<std::uint64_t>(min_procs[i]) << 1) |
+              (replicable[i] != 0 ? 1u : 0u));
+  }
+  return std::max<std::uint64_t>(fb.value(), 1);  // 0 means uncacheable
 }
 
 bool MappingEngine::WarmPoolContains(std::uint64_t key) {
@@ -175,17 +304,9 @@ std::uint64_t MappingEngine::Fingerprint(const MapRequest& request) const {
   ValidateRequest(request);
   if (request.options.proc_feasible) return 0;
   const int procs = ResolveProcs(request);
-  FingerprintBuilder fb;
-  fb.Append("pipemap-map-request v1");
-  fb.Append(SerializeChain(*request.chain, procs));
-  fb.Append(SerializeMachine(request.machine));
-  fb.Append(SerializeMapperOptions(request.options));
-  fb.Append(static_cast<int>(request.objective));
-  fb.Append(static_cast<int>(request.solver));
-  fb.Append(procs);
-  fb.Append(request.min_throughput);
-  fb.Append(request.machine_feasibility);
-  return fb.value();
+  std::optional<Evaluator> owned;
+  return RequestKey(request, procs,
+                    &RequestEvaluator(request, procs, &owned));
 }
 
 MapResponse MappingEngine::Map(const MapRequest& request) {
@@ -200,33 +321,31 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
                          ? static_cast<std::int64_t>(request.trace_id)
                          : -1);
   const int procs = ResolveProcs(request);
+  std::optional<Evaluator> owned_eval;
+  const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
 
   MapResponse response;
   response.trace_id = request.trace_id;
-  response.cacheable = request.use_cache && !request.options.proc_feasible;
+  if (request.use_cache) {
+    response.fingerprint = RequestKey(request, procs, &eval);
+  }
+  response.cacheable = response.fingerprint != 0;
   // An incremental request whose configuration has no pooled warm state
   // solves even when the cache could answer: only a real solve captures
   // the DP sweep that later perturbed re-solves reuse. Without this, a
   // process restarted onto a persistent cache would answer from disk
   // forever and never rebuild its warm pool.
   bool capture_solve = false;
-  if (response.cacheable) {
-    response.fingerprint = Fingerprint(request);
-    if (request.options.incremental && !request.options.warm &&
-        !WarmPoolContains(WarmPoolKey(request, procs))) {
-      capture_solve = true;
-      PIPEMAP_COUNTER_ADD("engine.cache.capture_solves", 1);
-    }
+  if (response.cacheable && request.options.incremental &&
+      !request.options.warm &&
+      !WarmPoolContains(RequestKey(request, procs, nullptr))) {
+    capture_solve = true;
+    PIPEMAP_COUNTER_ADD("engine.cache.capture_solves", 1);
   }
   if (response.cacheable && !capture_solve) {
     if (std::optional<CachedSolution> hit =
             cache_.Lookup(response.fingerprint)) {
-      response.mapping = ParseMapping(hit->mapping_text);
-      response.objective_value = hit->objective_value;
-      response.throughput = hit->throughput;
-      response.latency = hit->latency;
-      response.solver = hit->solver;
-      response.exact = hit->exact;
+      Replay(*hit, &response);
       response.cache_hit = true;
       response.cache_tier = hit->from_disk ? "disk" : "memory";
       response.solve_seconds = SecondsSince(start);
@@ -237,7 +356,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   const bool has_budget = Deadline::HasBudget(request.time_budget_s);
 
   // Single-flight: a cacheable miss joins the in-progress flight for its
-  // fingerprint. The leader falls through and solves; a follower parks on
+  // key. The leader falls through and solves; a follower parks on
   // the flight (bounded by its remaining budget, when it has one) and, if
   // the leader publishes a clean result, returns it with shared_solve
   // provenance — one solve, N answers. A follower that times out or whose
@@ -259,12 +378,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
       if (can_wait) {
         if (std::optional<CachedSolution> shared =
                 single_flight_.Wait(flight, wait_s)) {
-          response.mapping = ParseMapping(shared->mapping_text);
-          response.objective_value = shared->objective_value;
-          response.throughput = shared->throughput;
-          response.latency = shared->latency;
-          response.solver = shared->solver;
-          response.exact = shared->exact;
+          Replay(*shared, &response);
           response.shared_solve = true;
           response.solve_seconds = SecondsSince(start);
           return response;
@@ -279,7 +393,8 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   FlightPublisher publisher(&single_flight_, response.fingerprint,
                             flight_leader ? flight : nullptr);
 
-  // Cold path: resolve options, build the evaluator, run the portfolio.
+  // Cold path: resolve options, run the portfolio on the request's
+  // Evaluator.
   SolveRequest solve;
   solve.total_procs = procs;
   solve.objective = request.objective;
@@ -295,9 +410,6 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
     solve.options.deadline =
         Deadline::AfterAnchor(start, request.time_budget_s);
   }
-  const Evaluator eval(*request.chain, procs,
-                       request.machine.node_memory_bytes,
-                       solve.options.num_threads);
   solve.eval = &eval;
 
   // One warm-start state threads greedy's incumbent into the DP (and any
@@ -312,7 +424,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   bool pooled_warm = false;
   if (!warm && solve.options.incremental &&
       !request.options.proc_feasible) {
-    warm_key = WarmPoolKey(request, procs);
+    warm_key = RequestKey(request, procs, nullptr);
     std::lock_guard<std::mutex> lock(sweep_mu_);
     const auto it = warm_pool_.find(warm_key);
     if (it != warm_pool_.end()) {
@@ -430,14 +542,8 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   // cold, which is always correct.
   if (pooled_warm) {
     std::lock_guard<std::mutex> lock(sweep_mu_);
-    if (warm_pool_.size() >= config_.cache_capacity &&
-        !warm_order_.empty()) {
-      warm_pool_.erase(warm_order_.front());
-      warm_order_.pop_front();
-    }
-    if (warm_pool_.emplace(warm_key, warm).second) {
-      warm_order_.push_back(warm_key);
-    }
+    FifoInsert(warm_pool_, warm_order_, config_.cache_capacity, warm_key,
+               warm);
   }
 
   if (response.timed_out) PIPEMAP_COUNTER_ADD("engine.map.timed_out", 1);
@@ -469,19 +575,16 @@ std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
   ValidateRequest(request);
   PIPEMAP_COUNTER_ADD("engine.frontier.calls", 1);
   const int procs = ResolveProcs(request);
+  std::optional<Evaluator> owned_eval;
+  const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
 
   // Whole-sweep memoization: a repeated sweep on an unchanged problem is
-  // answered without a single DP solve. The key extends the request
-  // fingerprint with the sweep parameter, under the same cacheability
-  // rule as Map (a custom predicate cannot be fingerprinted).
-  const bool cacheable = request.use_cache && !request.options.proc_feasible;
-  std::uint64_t key = 0;
+  // answered without a single DP solve. The key extends the request key
+  // with the sweep parameter, under the same cacheability rule as Map.
+  const std::uint64_t key = SweepKey(request, procs, eval, "frontier",
+                                     static_cast<double>(num_points));
+  const bool cacheable = key != 0;
   if (cacheable) {
-    FingerprintBuilder fb;
-    fb.Append("pipemap-frontier-sweep v1");
-    fb.Append(Fingerprint(request));
-    fb.Append(num_points);
-    key = fb.value();
     std::lock_guard<std::mutex> lock(sweep_mu_);
     const auto it = frontier_cache_.find(key);
     if (it != frontier_cache_.end()) {
@@ -492,39 +595,14 @@ std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
     PIPEMAP_COUNTER_ADD("engine.frontier.cache_misses", 1);
   }
 
-  MapperOptions options = ResolveOptions(request);
-  std::shared_ptr<WarmStartState> warm = options.warm;
-  if (!warm) {
-    warm = std::make_shared<WarmStartState>();
-    options.warm = warm;
-  }
-  const std::uint64_t built0 = warm->tables_built;
-  const std::uint64_t reused0 = warm->tables_reused;
-  const std::uint64_t seeded0 = warm->incumbents_seeded;
-
-  const Evaluator eval(*request.chain, procs,
-                       request.machine.node_memory_bytes,
-                       options.num_threads);
   std::vector<FrontierPoint> frontier =
-      LatencyThroughputFrontier(eval, procs, num_points, options);
-  if (stats != nullptr) {
-    stats->warm_tables_built += warm->tables_built - built0;
-    stats->warm_tables_reused += warm->tables_reused - reused0;
-    stats->warm_incumbents_seeded += warm->incumbents_seeded - seeded0;
-    // Every DP run either builds or reuses the range tables exactly once.
-    stats->solves += (warm->tables_built - built0) +
-                     (warm->tables_reused - reused0);
-  }
+      WarmSweep(request, stats, [&](const MapperOptions& options) {
+        return LatencyThroughputFrontier(eval, procs, num_points, options);
+      });
   if (cacheable) {
     std::lock_guard<std::mutex> lock(sweep_mu_);
-    if (frontier_cache_.size() >= config_.cache_capacity &&
-        !frontier_order_.empty()) {
-      frontier_cache_.erase(frontier_order_.front());
-      frontier_order_.pop_front();
-    }
-    if (frontier_cache_.emplace(key, frontier).second) {
-      frontier_order_.push_back(key);
-    }
+    FifoInsert(frontier_cache_, frontier_order_, config_.cache_capacity, key,
+               frontier);
   }
   return frontier;
 }
@@ -535,15 +613,13 @@ ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
   ValidateRequest(request);
   PIPEMAP_COUNTER_ADD("engine.min_procs.calls", 1);
   const int procs = ResolveProcs(request);
+  std::optional<Evaluator> owned_eval;
+  const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
 
-  const bool cacheable = request.use_cache && !request.options.proc_feasible;
-  std::uint64_t key = 0;
+  const std::uint64_t key =
+      SweepKey(request, procs, eval, "sizing", target_throughput);
+  const bool cacheable = key != 0;
   if (cacheable) {
-    FingerprintBuilder fb;
-    fb.Append("pipemap-sizing-sweep v1");
-    fb.Append(Fingerprint(request));
-    fb.Append(target_throughput);
-    key = fb.value();
     std::lock_guard<std::mutex> lock(sweep_mu_);
     const auto it = sizing_cache_.find(key);
     if (it != sizing_cache_.end()) {
@@ -554,38 +630,15 @@ ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
     PIPEMAP_COUNTER_ADD("engine.min_procs.cache_misses", 1);
   }
 
-  MapperOptions options = ResolveOptions(request);
-  std::shared_ptr<WarmStartState> warm = options.warm;
-  if (!warm) {
-    warm = std::make_shared<WarmStartState>();
-    options.warm = warm;
-  }
-  const std::uint64_t built0 = warm->tables_built;
-  const std::uint64_t reused0 = warm->tables_reused;
-  const std::uint64_t seeded0 = warm->incumbents_seeded;
-
-  const Evaluator eval(*request.chain, procs,
-                       request.machine.node_memory_bytes,
-                       options.num_threads);
   ProcCountResult result =
-      MinProcessorsForThroughput(eval, procs, target_throughput, options);
-  if (stats != nullptr) {
-    stats->warm_tables_built += warm->tables_built - built0;
-    stats->warm_tables_reused += warm->tables_reused - reused0;
-    stats->warm_incumbents_seeded += warm->incumbents_seeded - seeded0;
-    stats->solves += (warm->tables_built - built0) +
-                     (warm->tables_reused - reused0);
-  }
+      WarmSweep(request, stats, [&](const MapperOptions& options) {
+        return MinProcessorsForThroughput(eval, procs, target_throughput,
+                                          options);
+      });
   if (cacheable) {
     std::lock_guard<std::mutex> lock(sweep_mu_);
-    if (sizing_cache_.size() >= config_.cache_capacity &&
-        !sizing_order_.empty()) {
-      sizing_cache_.erase(sizing_order_.front());
-      sizing_order_.pop_front();
-    }
-    if (sizing_cache_.emplace(key, result).second) {
-      sizing_order_.push_back(key);
-    }
+    FifoInsert(sizing_cache_, sizing_order_, config_.cache_capacity, key,
+               result);
   }
   return result;
 }

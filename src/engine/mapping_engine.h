@@ -19,26 +19,27 @@
 //   * kAuto (latency objectives): the latency DP directly.
 //   * kDp / kGreedy / kBrute / kLatency: exactly that registry solver.
 //
-// Caching: requests without a custom feasibility predicate are
-// fingerprinted over the canonical serializations of the chain, machine,
-// and options (engine/fingerprint.h) and answered from a sharded LRU
-// cache (engine/solution_cache.h) when possible. A cache hit returns a
-// mapping byte-identical to what a fresh solve would produce — the cache
-// stores serialized mappings, and the tests pin the equality. A custom
-// proc_feasible closure cannot be fingerprinted, so such requests bypass
-// the cache entirely rather than risk a false hit. With
-// EngineConfig::cache_dir set the cache additionally persists
-// (engine/cache_persist.h): a restarted process answers yesterday's
-// fingerprints from disk, and the response reports which tier hit via
-// MapResponse::cache_tier. Concurrent identical-fingerprint misses
-// collapse into one solve (engine/single_flight.h) whose result fans out
-// to every waiter with MapResponse::shared_solve provenance.
+// Caching: every request builds its Evaluator once; the request key
+// (RequestKey below, engine/fingerprint.h) is taken from the Evaluator's
+// cost-table hashes and range tables plus the machine and option fields,
+// and the same Evaluator then solves a miss. Hits come from a sharded LRU
+// cache (engine/solution_cache.h) and return a mapping byte-identical to
+// what a fresh solve would produce — the cache stores serialized
+// mappings, and the tests pin the equality. A custom proc_feasible
+// closure cannot be keyed, and an untabulated Evaluator has no content
+// hashes, so such requests bypass the cache entirely rather than risk a
+// false hit. With EngineConfig::cache_dir set the cache additionally
+// persists (engine/cache_persist.h): a restarted process answers
+// yesterday's keys from disk, and the response reports which tier hit
+// via MapResponse::cache_tier. Concurrent identical-key misses collapse
+// into one solve (engine/single_flight.h) whose result fans out to every
+// waiter with MapResponse::shared_solve provenance.
 //
-// Sweeps (Frontier, MinProcs) are cached whole under the same
-// fingerprinting rules: a repeated sweep on an unchanged problem returns
-// the memoized points without running a single DP solve. Within a first
-// (uncached) sweep, the warm-start state still carries range tables and
-// incumbents across the sweep's solves.
+// Sweeps (Frontier, MinProcs) are cached whole under the same key
+// extended by the sweep parameter: a repeated sweep on an unchanged
+// problem returns the memoized points without running a single DP solve.
+// Within a first (uncached) sweep, the warm-start state still carries
+// range tables and incumbents across the sweep's solves.
 #pragma once
 
 #include <cstdint>
@@ -83,13 +84,20 @@ struct MapRequest {
   SolverPolicy solver = SolverPolicy::kAuto;
   /// Algorithm options. A custom proc_feasible makes the request
   /// uncacheable; leave it null and keep machine_feasibility true to get
-  /// the machine-derived predicate, which fingerprints via the machine.
+  /// the machine-derived predicate, which is keyed via the machine.
   MapperOptions options;
   /// Installs FeasibilityChecker(machine)'s processor-count predicate
   /// when options.proc_feasible is null (matches the CLI's default).
   bool machine_feasibility = true;
   /// Consult/populate the engine's solution cache.
   bool use_cache = true;
+  /// Optional Evaluator the caller already built for this request's
+  /// chain, processor budget and node memory (borrowed, like `chain`).
+  /// The engine keys and solves with it instead of tabulating its own, so
+  /// a caller that needs the Evaluator afterwards (the server's
+  /// MakeFeasible) builds it once per request. Checked against the
+  /// request; never part of the key.
+  const Evaluator* eval = nullptr;
   /// Request trace id (support/trace_context.h); 0 = untraced. Purely
   /// provenance: it never enters the fingerprint (two requests differing
   /// only in trace_id are the same problem and share a cache entry), but
@@ -134,7 +142,7 @@ struct MapResponse {
   /// flight dedup): another request's solver produced it and this one
   /// only waited. Neither a cache hit nor a solve of its own.
   bool shared_solve = false;
-  /// The request could be fingerprinted and was eligible for the cache.
+  /// The request was keyed (fingerprint != 0) and eligible for the cache.
   bool cacheable = false;
   std::uint64_t fingerprint = 0;
   /// Warm-start activity during this solve (0 on cache hits).
@@ -162,6 +170,15 @@ struct MapResponse {
   /// with SerializeMapping or the run report for the mapping itself.
   std::string ToJson() const;
 };
+
+/// The engine's one request key (engine/fingerprint.h) on a
+/// `procs`-processor budget. With `costs`, the request's Evaluator, it is
+/// the full key — the Evaluator's content hashes and range tables, k and
+/// P, plus the machine, option, objective, solver, floor and feasibility
+/// fields — or 0 when the request is uncacheable. Without `costs` it is
+/// the key of everything except the chain's costs (the warm pool's key).
+std::uint64_t RequestKey(const MapRequest& request, int procs,
+                         const Evaluator* costs);
 
 /// Warm-start activity across an engine-driven sweep (Frontier/MinProcs).
 struct SweepStats {
@@ -210,9 +227,9 @@ class MappingEngine {
   /// budget. All solves in the sweep share one warm-start state (range
   /// tables and incumbents carry across floors); `stats`, when non-null,
   /// receives the reuse counts. The request's objective field is ignored.
-  /// When the request is cacheable (use_cache set, no custom predicate)
-  /// the whole sweep is memoized under (fingerprint, num_points) and a
-  /// repeat returns the identical points without solving.
+  /// When the request is cacheable (use_cache set, nonzero key) the
+  /// whole sweep is memoized under (key, num_points) and a repeat returns
+  /// the identical points without solving.
   std::vector<FrontierPoint> Frontier(const MapRequest& request,
                                       int num_points,
                                       SweepStats* stats = nullptr);
@@ -220,13 +237,14 @@ class MappingEngine {
   /// Smallest processor count reaching `target_throughput`, warm-starting
   /// the binary search's solves like Frontier. The request's total_procs
   /// (or the machine size) bounds the search. Memoized whole under
-  /// (fingerprint, target) exactly like Frontier.
+  /// (key, target) exactly like Frontier.
   ProcCountResult MinProcs(const MapRequest& request,
                            double target_throughput,
                            SweepStats* stats = nullptr);
 
-  /// Fingerprint of `request` (also computed by Map); 0 when the request
-  /// is not fingerprintable (custom predicate).
+  /// Request key of `request` (also computed by Map), tabulating an
+  /// Evaluator unless the request carries one; 0 when the request is
+  /// uncacheable (custom predicate, untabulated Evaluator).
   std::uint64_t Fingerprint(const MapRequest& request) const;
 
   SolutionCache& cache() { return cache_; }
@@ -243,9 +261,6 @@ class MappingEngine {
   static MappingEngine& Shared();
 
  private:
-  /// Warm-pool key of `request`: the request fingerprint MINUS the chain
-  /// serialization (see warm_pool_ below).
-  std::uint64_t WarmPoolKey(const MapRequest& request, int procs) const;
   bool WarmPoolContains(std::uint64_t key);
 
   EngineConfig config_;
@@ -267,8 +282,8 @@ class MappingEngine {
   std::deque<std::uint64_t> sizing_order_;
 
   /// Warm-start pool for incremental re-solves (MapperOptions::
-  /// incremental): states keyed by the request fingerprint MINUS the chain
-  /// serialization, so a re-solve of a perturbed chain — a repair remap
+  /// incremental): states keyed by the request key MINUS its cost part,
+  /// so a re-solve of a perturbed chain — a repair remap
   /// after cost drift, a refinement iteration — finds the state captured
   /// by the previous solve of the same machine/options/budget and reuses
   /// the DP sweep's clean prefix. Entries are checked out exclusively

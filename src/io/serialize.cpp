@@ -274,113 +274,6 @@ TaskChain ParseChain(const std::string& text) {
   return TaskChain(std::move(tasks), std::move(costs));
 }
 
-namespace {
-
-// Fingerprint-completeness guard. This mirror must list every field of
-// MapperOptions, in order, with identical types. Adding a field to
-// MapperOptions without updating the mirror changes sizeof(MapperOptions)
-// and breaks the static_assert below — on purpose: whoever adds the field
-// must decide whether it belongs in SerializeMapperOptions (and therefore
-// the engine's cache fingerprint) or in the documented exclusion list,
-// and then extend the mirror to match.
-struct MapperOptionsMirror {
-  ReplicationPolicy replication;
-  bool allow_clustering;
-  ProcPredicate proc_feasible;
-  std::size_t max_table_bytes;
-  int num_threads;
-  bool observe;
-  std::shared_ptr<WarmStartState> warm;
-  bool incremental;  // accelerator-only, like warm/deadline: excluded from
-                     // serialization and the cache fingerprint (incremental
-                     // results are byte-identical to cold ones)
-  std::shared_ptr<const Deadline> deadline;
-};
-static_assert(sizeof(MapperOptions) == sizeof(MapperOptionsMirror),
-              "MapperOptions gained (or lost) a field: update "
-              "SerializeMapperOptions/ParseMapperOptions and the engine "
-              "fingerprint, then mirror the change here");
-
-const char* PolicyName(ReplicationPolicy policy) {
-  switch (policy) {
-    case ReplicationPolicy::kNone:
-      return "none";
-    case ReplicationPolicy::kMaximal:
-      return "maximal";
-    case ReplicationPolicy::kSearch:
-      return "search";
-  }
-  PIPEMAP_CHECK(false, "unknown replication policy");
-  return "";
-}
-
-ReplicationPolicy PolicyFromName(const std::string& name) {
-  if (name == "none") return ReplicationPolicy::kNone;
-  if (name == "maximal") return ReplicationPolicy::kMaximal;
-  if (name == "search") return ReplicationPolicy::kSearch;
-  PIPEMAP_CHECK(false, "options parse: unknown replication policy: " + name);
-  return ReplicationPolicy::kMaximal;
-}
-
-}  // namespace
-
-std::string SerializeMapperOptions(const MapperOptions& options) {
-  std::ostringstream os;
-  os << "pipemap-mapper-options v1\n";
-  os << "replication " << PolicyName(options.replication) << "\n";
-  os << "allow_clustering " << (options.allow_clustering ? 1 : 0) << "\n";
-  os << "max_table_bytes " << options.max_table_bytes << "\n";
-  os << "has_predicate " << (options.proc_feasible ? 1 : 0) << "\n";
-  os << "end\n";
-  return os.str();
-}
-
-MapperOptions ParseMapperOptions(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  PIPEMAP_CHECK(NextLine(in, line) && line == "pipemap-mapper-options v1",
-                "options parse: bad header");
-  MapperOptions options;
-  bool saw_end = false;
-  while (NextLine(in, line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    std::istringstream ls(line);
-    std::string key;
-    PIPEMAP_CHECK(static_cast<bool>(ls >> key),
-                  "options parse: bad line: " + line);
-    if (key == "replication") {
-      std::string name;
-      PIPEMAP_CHECK(static_cast<bool>(ls >> name),
-                    "options parse: bad replication line");
-      options.replication = PolicyFromName(name);
-    } else if (key == "allow_clustering") {
-      int v = 0;
-      PIPEMAP_CHECK(static_cast<bool>(ls >> v) && (v == 0 || v == 1),
-                    "options parse: bad allow_clustering line");
-      options.allow_clustering = v == 1;
-    } else if (key == "max_table_bytes") {
-      unsigned long long v = 0;
-      PIPEMAP_CHECK(static_cast<bool>(ls >> v),
-                    "options parse: bad max_table_bytes line");
-      options.max_table_bytes = static_cast<std::size_t>(v);
-    } else if (key == "has_predicate") {
-      int v = 0;
-      PIPEMAP_CHECK(static_cast<bool>(ls >> v) && (v == 0 || v == 1),
-                    "options parse: bad has_predicate line");
-      PIPEMAP_CHECK(v == 0,
-                    "options parse: feasibility predicates are not "
-                    "serializable");
-    } else {
-      PIPEMAP_CHECK(false, "options parse: unknown key: " + key);
-    }
-  }
-  PIPEMAP_CHECK(saw_end, "options parse: missing end");
-  return options;
-}
-
 std::string SerializeMapping(const Mapping& mapping) {
   std::ostringstream os;
   os << "pipemap-mapping v1\n";

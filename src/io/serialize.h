@@ -15,7 +15,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/mapper.h"
 #include "core/mapping.h"
 #include "core/task.h"
 #include "machine/machine.h"
@@ -37,23 +36,6 @@ std::string SerializeMapping(const Mapping& mapping);
 
 /// Parses a mapping serialized by SerializeMapping.
 Mapping ParseMapping(const std::string& text);
-
-/// Serializes the solver-facing fields of MapperOptions — the canonical
-/// form the engine layer fingerprints for its solution cache. Execution
-/// knobs that cannot change the returned mapping (num_threads, observe,
-/// warm, deadline — the engine never caches timed-out results, so a
-/// deadline cannot alter a cacheable answer) are deliberately excluded; a
-/// custom proc_feasible predicate is
-/// recorded only as a presence bit (callbacks are not serializable, and
-/// requests carrying one are uncacheable). A mirror-struct static_assert
-/// in serialize.cpp forces this function to be revisited whenever a field
-/// is added to MapperOptions.
-std::string SerializeMapperOptions(const MapperOptions& options);
-
-/// Parses options serialized by SerializeMapperOptions. Throws
-/// pipemap::InvalidArgument on malformed input or when the input records
-/// a feasibility predicate (which cannot be reconstructed).
-MapperOptions ParseMapperOptions(const std::string& text);
 
 /// Serializes a machine configuration.
 std::string SerializeMachine(const MachineConfig& machine);

@@ -600,6 +600,12 @@ void PipemapServer::WorkerLoop() {
     const double solve_s = SecondsBetween(start, done);
     const double total_s = SecondsBetween(job->admitted, done);
     const std::size_t bytes_out = response.size();
+    // Counted before the response is released, so a client that has its
+    // answer never reads a stats snapshot that misses it.
+    {
+      std::lock_guard<std::mutex> lock(counters_mu_);
+      ++counters_.completed;
+    }
     job->response.set_value(std::move(response));
 
 #if !defined(PIPEMAP_NO_OBSERVABILITY)
@@ -629,10 +635,6 @@ void PipemapServer::WorkerLoop() {
     PIPEMAP_HISTOGRAM_RECORD("server.request_us", total_s * 1e6);
     PIPEMAP_HISTOGRAM_RECORD("server.queue_wait_us", queue_wait_s * 1e6);
     PIPEMAP_HISTOGRAM_RECORD("server.solve_us", solve_s * 1e6);
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.completed;
-    }
     FinishRequest(job->request.trace_id, job->request.op, outcome,
                   job->bytes_in, bytes_out, queue_wait_s, solve_s, total_s);
   }
@@ -737,9 +739,12 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   ApplyPolicy(request, &mr);
   if (outcome->degraded) ApplyBrownout(&mr);
 
-  const MapResponse response = engine_->Map(mr);
+  // One Evaluator per request: the engine keys and solves with it, and
+  // MakeFeasible reuses it.
   const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
                        request.threads);
+  mr.eval = &eval;
+  const MapResponse response = engine_->Map(mr);
   const Mapping mapping =
       FeasibilityChecker(machine).MakeFeasible(response.mapping, eval);
 
@@ -824,9 +829,12 @@ std::string PipemapServer::HandleReport(const ServerRequest& request,
   ApplyPolicy(request, &mr);
   if (outcome->degraded) ApplyBrownout(&mr);
 
-  const MapResponse response = engine_->Map(mr);
+  // One Evaluator per request: the engine keys and solves with it, and
+  // MakeFeasible reuses it.
   const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
                        request.threads);
+  mr.eval = &eval;
+  const MapResponse response = engine_->Map(mr);
   const Mapping mapping =
       FeasibilityChecker(machine).MakeFeasible(response.mapping, eval);
 

@@ -249,7 +249,7 @@ struct Validator {
 }  // namespace
 
 bool IsValidJson(std::string_view text, std::string* error) {
-  Validator v{text};
+  Validator v{text, 0, {}};
   if (!v.ParseValue(0)) {
     if (error != nullptr) *error = v.error;
     return false;

@@ -80,7 +80,8 @@ struct ThreadPool::Impl {
         // only while metrics are on, so the disabled path stays a plain
         // condition-variable wait.
         const bool measure = MetricsRegistry::Enabled();
-        const std::uint64_t wait_begin = measure ? Tracer::NowNs() : 0;
+        [[maybe_unused]] const std::uint64_t wait_begin =
+            measure ? Tracer::NowNs() : 0;
         std::unique_lock<std::mutex> lock(mutex);
         work_cv.wait(lock, [&] { return stop || generation != seen; });
         if (stop) return;

@@ -227,6 +227,41 @@ TEST(MappingEngineTest, FingerprintSeparatesProblems) {
   bigger_machine.machine.grid_rows = 8;
   EXPECT_NE(engine.Fingerprint(bigger_machine), fp);
 
+  // f_ecom differing only at one (ps, pr) off the serializer's sample
+  // axis for P=64 (1..16, 22, 28, ..., 64) is a different problem.
+  const auto two_tasks = [](double bump) {
+    ChainCostModel costs;
+    costs.AddTask(std::make_unique<PolyScalarCost>(0.0, 1.0, 0.0),
+                  MemorySpec{});
+    costs.AddTask(std::make_unique<PolyScalarCost>(0.0, 1.0, 0.0),
+                  MemorySpec{});
+    costs.SetEdge(0, std::make_unique<PolyScalarCost>(0.0, 0.0, 0.0),
+                  std::make_unique<CallbackPairCost>([bump](int ps, int pr) {
+                    return 0.01 + (ps == 20 && pr == 33 ? bump : 0.0);
+                  }));
+    return TaskChain({Task{"a", true}, Task{"b", true}}, std::move(costs));
+  };
+  const TaskChain plain = two_tasks(0.0);
+  const TaskChain spiked = two_tasks(1.0);
+  MapRequest plain_request = RequestFor(plain, machine);
+  plain_request.machine.grid_rows = 8;
+  plain_request.machine.grid_cols = 8;
+  MapRequest spiked_request = plain_request;
+  spiked_request.chain = &spiked;
+  EXPECT_NE(engine.Fingerprint(spiked_request),
+            engine.Fingerprint(plain_request));
+
+  // Above the tabulation limit (P > 512) the Evaluator has no content
+  // hashes to key on: key 0, and the request bypasses the cache.
+  MapRequest untabulated = base;
+  untabulated.machine.grid_rows = 24;
+  untabulated.machine.grid_cols = 24;
+  untabulated.solver = SolverPolicy::kGreedy;
+  EXPECT_EQ(engine.Fingerprint(untabulated), 0u);
+  const MapResponse uncached = engine.Map(untabulated);
+  EXPECT_FALSE(uncached.cacheable);
+  EXPECT_EQ(uncached.fingerprint, 0u);
+
   // Execution knobs must NOT move the fingerprint.
   MapRequest threaded = base;
   threaded.options.num_threads = 4;

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -80,8 +82,10 @@ TEST(SolutionCacheStressTest, ConcurrentMixedLoadUnderEviction) {
 }
 
 TEST(SolutionCacheStressTest, PersistentTierUnderConcurrentSpillAndLoad) {
+  // Per process: the TSan build runs this test alongside the plain one.
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "pipemap_persist_stress";
+      std::filesystem::path(::testing::TempDir()) /
+      ("pipemap_persist_stress_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
 
   constexpr std::size_t kCapacity = 16;

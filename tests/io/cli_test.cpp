@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -10,10 +13,6 @@
 
 namespace pipemap::cli {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/pipemap_cli_" + name;
-}
 
 int RunCommand(const std::vector<std::string>& args, std::string* output) {
   std::ostringstream os;
@@ -25,6 +24,17 @@ int RunCommand(const std::vector<std::string>& args, std::string* output) {
 class CliWorkflow : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test case: ctest -j runs the cases as concurrent
+    // processes, and shared file names would let one case's TearDown
+    // delete files another is still reading.
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("pipemap_cli_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
     chain_path_ = TempPath("chain.txt");
     machine_path_ = TempPath("machine.txt");
     mapping_path_ = TempPath("mapping.txt");
@@ -36,12 +46,13 @@ class CliWorkflow : public ::testing::Test {
         << output;
   }
 
-  void TearDown() override {
-    std::remove(chain_path_.c_str());
-    std::remove(machine_path_.c_str());
-    std::remove(mapping_path_.c_str());
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string TempPath(const std::string& name) const {
+    return (dir_ / name).string();
   }
 
+  std::filesystem::path dir_;
   std::string chain_path_, machine_path_, mapping_path_;
 };
 

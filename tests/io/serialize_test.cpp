@@ -152,63 +152,6 @@ TEST(MappingSerializationTest, MalformedInputThrows) {
                InvalidArgument);  // count mismatch
 }
 
-TEST(MapperOptionsSerializationTest, EveryFingerprintedFieldRoundTrips) {
-  // Exercise the non-default value of every fingerprinted field at once:
-  // a drift between SerializeMapperOptions and ParseMapperOptions on any
-  // of them fails here. (A mirror-struct static_assert in serialize.cpp
-  // additionally breaks the build when MapperOptions gains a field that
-  // nobody classified as fingerprinted-or-excluded.)
-  for (const ReplicationPolicy policy :
-       {ReplicationPolicy::kNone, ReplicationPolicy::kMaximal,
-        ReplicationPolicy::kSearch}) {
-    MapperOptions options;
-    options.replication = policy;
-    options.allow_clustering = false;
-    options.max_table_bytes = 123456789;
-    const MapperOptions parsed =
-        ParseMapperOptions(SerializeMapperOptions(options));
-    EXPECT_EQ(parsed.replication, options.replication);
-    EXPECT_EQ(parsed.allow_clustering, options.allow_clustering);
-    EXPECT_EQ(parsed.max_table_bytes, options.max_table_bytes);
-    EXPECT_FALSE(parsed.proc_feasible);
-  }
-}
-
-TEST(MapperOptionsSerializationTest, SerializationIsCanonical) {
-  // Execution-only knobs (threads, observation, warm-start state) must not
-  // leak into the serialized form: it is the engine cache key, and those
-  // knobs cannot change the returned mapping.
-  MapperOptions a;
-  MapperOptions b;
-  b.num_threads = 7;
-  b.observe = true;
-  b.warm = std::make_shared<WarmStartState>();
-  EXPECT_EQ(SerializeMapperOptions(a), SerializeMapperOptions(b));
-}
-
-TEST(MapperOptionsSerializationTest, PredicateIsPresenceOnly) {
-  MapperOptions options;
-  options.proc_feasible = [](int p) { return p % 2 == 0; };
-  const std::string text = SerializeMapperOptions(options);
-  EXPECT_NE(text.find("has_predicate 1"), std::string::npos);
-  // The callback cannot be reconstructed; parsing must refuse rather than
-  // silently drop the constraint.
-  EXPECT_THROW(ParseMapperOptions(text), InvalidArgument);
-}
-
-TEST(MapperOptionsSerializationTest, MalformedInputThrows) {
-  EXPECT_THROW(ParseMapperOptions("nope"), InvalidArgument);
-  EXPECT_THROW(ParseMapperOptions("pipemap-mapper-options v1\n"
-                                  "replication sideways\nend\n"),
-               InvalidArgument);
-  EXPECT_THROW(ParseMapperOptions("pipemap-mapper-options v1\n"
-                                  "unknown_key 3\nend\n"),
-               InvalidArgument);
-  EXPECT_THROW(ParseMapperOptions("pipemap-mapper-options v1\n"
-                                  "replication maximal\n"),
-               InvalidArgument);  // missing end
-}
-
 TEST(MachineSerializationTest, RoundTrip) {
   MachineConfig m = MachineConfig::IWarp64(CommMode::kSystolic);
   m.node_memory_bytes = 123456.789;

@@ -150,10 +150,11 @@ TEST(AccessLogTest, InvalidOptionsThrow) {
         AccessLogger log(options);
       },
       InvalidArgument);
+  const TempLogPath zero("zero");
   EXPECT_THROW(
       {
         AccessLogger::Options options;
-        options.path = "/tmp/pipemap_access_log_zero.jsonl";
+        options.path = zero.str();
         options.queue_capacity = 0;
         AccessLogger log(options);
       },

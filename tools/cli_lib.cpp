@@ -362,7 +362,11 @@ int MapCommand(const std::vector<std::string>& args, std::ostream& out) {
       {"no-clustering", "unconstrained", "engine-cache"});
   const LoadedProblem problem = Load(flags);
   const ObservationSession observation(flags);
-  const MapRequest request = BuildMapRequest(flags, problem);
+  MapRequest request = BuildMapRequest(flags, problem);
+  const Evaluator eval(problem.chain, request.total_procs,
+                       problem.machine.node_memory_bytes,
+                       request.options.num_threads);
+  request.eval = &eval;
   const MapResponse response = MappingEngine::Shared().Map(request);
   Mapping mapping = response.mapping;
 
@@ -389,9 +393,6 @@ int MapCommand(const std::vector<std::string>& args, std::ostream& out) {
            " a certified optimum\n";
   }
 
-  const Evaluator eval(problem.chain, request.total_procs,
-                       problem.machine.node_memory_bytes,
-                       request.options.num_threads);
   if (!flags.Has("unconstrained")) {
     mapping = FeasibilityChecker(problem.machine).MakeFeasible(mapping, eval);
   }
@@ -506,11 +507,12 @@ int ReportCommand(const std::vector<std::string>& args, std::ostream& out) {
   const ScopedMetricsEnable metrics_on(true);
   const auto trace_path = flags.Get("trace");
 
-  const MapRequest request = BuildMapRequest(flags, problem);
+  MapRequest request = BuildMapRequest(flags, problem);
   const int procs = request.total_procs;
   const Evaluator eval(problem.chain, procs,
                        problem.machine.node_memory_bytes,
                        request.options.num_threads);
+  request.eval = &eval;
   Mapping mapping = MappingEngine::Shared().Map(request).mapping;
   if (!flags.Has("unconstrained")) {
     mapping = FeasibilityChecker(problem.machine).MakeFeasible(mapping, eval);
