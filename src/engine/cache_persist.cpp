@@ -15,6 +15,7 @@
 
 #include "engine/fingerprint.h"
 #include "support/chaos.h"
+#include "support/error.h"
 #include "support/metrics.h"
 #include "support/parse.h"
 

@@ -66,7 +66,6 @@
 
 #include "engine/cached_solution.h"
 #include "support/circuit_breaker.h"
-#include "support/error.h"
 
 namespace pipemap {
 
@@ -116,8 +115,8 @@ struct DiskPersistOptions {
   double breaker_cooldown_s = 5.0;
 };
 
-/// The disk tier as a cache persistence policy: disabled (and free) until
-/// Enable(dir) points it at a directory.
+/// The solution cache's disk tier: disabled (and free) until Enable(dir)
+/// points it at a directory.
 class DiskPersistence {
  public:
   DiskPersistence() = default;
@@ -211,25 +210,6 @@ class DiskPersistence {
   std::atomic<std::uint64_t> evicted_{0};
 
   std::thread writer_;
-};
-
-/// Memory-only instantiations: no tier, no thread, no counters. Enable is
-/// a contract violation — pick DiskPersistence if a directory may ever be
-/// configured.
-struct NullPersistence {
-  void Enable(const std::string&) {
-    PIPEMAP_CHECK(false, "this cache was instantiated without persistence");
-  }
-  void Enable(const DiskPersistOptions&) {
-    PIPEMAP_CHECK(false, "this cache was instantiated without persistence");
-  }
-  bool enabled() const { return false; }
-  std::string dir() const { return {}; }
-  bool read_only() const { return false; }
-  std::optional<CachedSolution> Load(std::uint64_t) { return std::nullopt; }
-  void Store(std::uint64_t, CachedSolution) {}
-  void Flush() {}
-  PersistTierStats stats() const { return {}; }
 };
 
 }  // namespace pipemap

@@ -13,8 +13,8 @@ struct CachedSolution {
   double objective_value = 0.0;
   double throughput = 0.0;
   double latency = 0.0;
-  /// Registry name of the solver that produced the entry (e.g. "dp",
-  /// "greedy+dp").
+  /// The solver stages that produced the entry, "+"-joined
+  /// ToString(SolverPolicy) names (e.g. "dp", "greedy+dp").
   std::string solver;
   bool exact = false;
   /// True when this Lookup result came from the persistent tier rather

@@ -7,6 +7,9 @@
 #include <optional>
 #include <utility>
 
+#include "core/brute_force.h"
+#include "core/dp_mapper.h"
+#include "core/greedy_mapper.h"
 #include "engine/fingerprint.h"
 #include "io/serialize.h"
 #include "machine/feasible.h"
@@ -18,6 +21,18 @@
 #include "support/tracer.h"
 
 namespace pipemap {
+
+const char* ToString(MapObjective objective) {
+  switch (objective) {
+    case MapObjective::kThroughput:
+      return "throughput";
+    case MapObjective::kLatency:
+      return "latency";
+    case MapObjective::kLatencyWithFloor:
+      return "latency_with_floor";
+  }
+  return "unknown";
+}
 
 const char* ToString(SolverPolicy policy) {
   switch (policy) {
@@ -43,11 +58,80 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-const Solver& NamedSolver(std::string_view name) {
-  const Solver* solver = SolverRegistry::Global().Find(name);
-  PIPEMAP_CHECK(solver != nullptr,
-                "MappingEngine: solver not registered: " + std::string(name));
-  return *solver;
+/// kAuto adds the brute-force certification stage only on instances this
+/// small: exhaustive search is exponential in both.
+constexpr int kBruteMaxTasks = 5;
+constexpr int kBruteMaxProcs = 10;
+
+/// Whether `policy` can answer `objective`: the greedy and DP mappers
+/// maximize throughput only, the latency DP minimizes latency only, and
+/// brute force (and kAuto, which picks per objective) answers all three.
+bool Supports(SolverPolicy policy, MapObjective objective) {
+  switch (policy) {
+    case SolverPolicy::kDp:
+    case SolverPolicy::kGreedy:
+      return objective == MapObjective::kThroughput;
+    case SolverPolicy::kLatency:
+      return objective != MapObjective::kThroughput;
+    case SolverPolicy::kAuto:
+    case SolverPolicy::kBrute:
+      return true;
+  }
+  return false;
+}
+
+/// A latency search's answer in the throughput mappers' result shape.
+template <typename LatencySearchResult>
+MapResult AsMapResult(LatencySearchResult r) {
+  MapResult result;
+  result.mapping = std::move(r.mapping);
+  result.work = r.work;
+  result.timed_out = r.timed_out;
+  return result;
+}
+
+/// Runs one portfolio stage, a single mapper (never kAuto), on the
+/// request's Evaluator. Throws what the mapper throws (Infeasible,
+/// ResourceLimit).
+MapResult RunStage(SolverPolicy stage, const MapRequest& request,
+                   const Evaluator& eval, int procs,
+                   const MapperOptions& options) {
+  switch (stage) {
+    case SolverPolicy::kDp:
+      PIPEMAP_COUNTER_ADD("engine.solver.dp", 1);
+      return DpMapper(options).Map(eval, procs);
+    case SolverPolicy::kGreedy: {
+      PIPEMAP_COUNTER_ADD("engine.solver.greedy", 1);
+      GreedyOptions greedy;
+      greedy.base = options;
+      return GreedyMapper(greedy).Map(eval, procs);
+    }
+    case SolverPolicy::kBrute: {
+      PIPEMAP_COUNTER_ADD("engine.solver.brute", 1);
+      BruteForceOptions brute;
+      brute.base = options;
+      if (request.objective == MapObjective::kThroughput) {
+        return BruteForceMapper(brute).Map(eval, procs);
+      }
+      const double floor =
+          request.objective == MapObjective::kLatencyWithFloor
+              ? request.min_throughput
+              : 0.0;
+      return AsMapResult(BruteForceMinLatency(eval, procs, floor, brute));
+    }
+    case SolverPolicy::kLatency: {
+      PIPEMAP_COUNTER_ADD("engine.solver.latency", 1);
+      const LatencyMapper mapper(options);
+      return AsMapResult(
+          request.objective == MapObjective::kLatencyWithFloor
+              ? mapper.MinLatencyWithThroughput(eval, procs,
+                                                request.min_throughput)
+              : mapper.MinLatency(eval, procs));
+    }
+    case SolverPolicy::kAuto:
+      break;
+  }
+  throw InvalidArgument("MappingEngine: kAuto is a portfolio, not a stage");
 }
 
 int ResolveProcs(const MapRequest& request) {
@@ -311,6 +395,11 @@ std::uint64_t MappingEngine::Fingerprint(const MapRequest& request) const {
 
 MapResponse MappingEngine::Map(const MapRequest& request) {
   ValidateRequest(request);
+  PIPEMAP_CHECK(Supports(request.solver, request.objective),
+                "MappingEngine: solver '" +
+                    std::string(ToString(request.solver)) +
+                    "' does not support objective " +
+                    ToString(request.objective));
   const auto start = std::chrono::steady_clock::now();
   PIPEMAP_COUNTER_ADD("engine.map.calls", 1);
   // The request's trace id rides the span's arg, so trace_join.py can
@@ -364,7 +453,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   // did not exist.
   std::shared_ptr<SingleFlightGroup::Flight> flight;
   bool flight_leader = false;
-  if (response.cacheable && config_.single_flight && !capture_solve) {
+  if (response.cacheable && !capture_solve) {
     const auto joined = single_flight_.Join(response.fingerprint);
     flight = joined.first;
     flight_leader = joined.second;
@@ -395,22 +484,16 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
 
   // Cold path: resolve options, run the portfolio on the request's
   // Evaluator.
-  SolveRequest solve;
-  solve.total_procs = procs;
-  solve.objective = request.objective;
-  solve.min_throughput = request.min_throughput;
-  solve.options = ResolveOptions(request);
+  MapperOptions options = ResolveOptions(request);
   // A binding budget (positive finite; 0/unset means unlimited — see
   // MapRequest::time_budget_s) becomes a cooperative deadline threaded
   // into the solver inner loops, anchored at this request's start so the
   // in-solver checks and the between-stage check below agree. An
   // explicitly supplied options.deadline wins (the caller measured its own
   // anchor).
-  if (!solve.options.deadline && has_budget) {
-    solve.options.deadline =
-        Deadline::AfterAnchor(start, request.time_budget_s);
+  if (!options.deadline && has_budget) {
+    options.deadline = Deadline::AfterAnchor(start, request.time_budget_s);
   }
-  solve.eval = &eval;
 
   // One warm-start state threads greedy's incumbent into the DP (and any
   // caller-provided state carries across engine calls on the same chain).
@@ -419,10 +502,10 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   // sweep inside validates the chain's cost content itself (hash-based)
   // and reuses whatever prefix is still clean, so a remap after a cost
   // perturbation re-sweeps only the dirty suffix.
-  std::shared_ptr<WarmStartState> warm = solve.options.warm;
+  std::shared_ptr<WarmStartState> warm = options.warm;
   std::uint64_t warm_key = 0;
   bool pooled_warm = false;
-  if (!warm && solve.options.incremental &&
+  if (!warm && options.incremental &&
       !request.options.proc_feasible) {
     warm_key = RequestKey(request, procs, nullptr);
     std::lock_guard<std::mutex> lock(sweep_mu_);
@@ -442,71 +525,59 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   if (!warm) {
     warm = std::make_shared<WarmStartState>();
   }
-  solve.options.warm = warm;
+  options.warm = warm;
   const std::uint64_t built0 = warm->tables_built;
   const std::uint64_t reused0 = warm->tables_reused;
   const std::uint64_t seeded0 = warm->incumbents_seeded;
   const std::uint64_t captured0 = warm->sweeps_captured;
   const std::uint64_t prefix0 = warm->prefix_reused;
 
-  // Portfolio stage list.
-  std::vector<const Solver*> stages;
-  switch (request.solver) {
-    case SolverPolicy::kDp:
-      stages.push_back(&NamedSolver("dp"));
-      break;
-    case SolverPolicy::kGreedy:
-      stages.push_back(&NamedSolver("greedy"));
-      break;
-    case SolverPolicy::kBrute:
-      stages.push_back(&NamedSolver("brute"));
-      break;
-    case SolverPolicy::kLatency:
-      stages.push_back(&NamedSolver("latency"));
-      break;
-    case SolverPolicy::kAuto:
-      if (request.objective == MapObjective::kThroughput) {
-        stages.push_back(&NamedSolver("greedy"));
-        stages.push_back(&NamedSolver("dp"));
-        if (request.chain->size() <= config_.brute_max_tasks &&
-            procs <= config_.brute_max_procs) {
-          stages.push_back(&NamedSolver("brute"));
-        }
-      } else {
-        stages.push_back(&NamedSolver("latency"));
-      }
-      break;
+  // Portfolio stage list: kAuto escalates greedy → DP (→ brute force on
+  // tiny instances) for throughput and runs the latency DP otherwise;
+  // every other policy is its one mapper.
+  std::vector<SolverPolicy> stages;
+  if (request.solver != SolverPolicy::kAuto) {
+    stages = {request.solver};
+  } else if (request.objective == MapObjective::kThroughput) {
+    stages = {SolverPolicy::kGreedy, SolverPolicy::kDp};
+    if (request.chain->size() <= kBruteMaxTasks && procs <= kBruteMaxProcs) {
+      stages.push_back(SolverPolicy::kBrute);
+    }
+  } else {
+    stages = {SolverPolicy::kLatency};
   }
 
-  std::optional<SolveResult> best;
+  std::optional<MapResult> best;
+  double best_value = 0.0;
   std::string ran;
   std::exception_ptr last_error;
   for (std::size_t i = 0; i < stages.size(); ++i) {
-    const Solver& stage = *stages[i];
-    PIPEMAP_CHECK(stage.Supports(request.objective),
-                  "MappingEngine: solver '" + std::string(stage.name()) +
-                      "' does not support objective " +
-                      ToString(request.objective));
     if (i > 0 && has_budget && SecondsSince(start) > request.time_budget_s) {
       response.budget_exhausted = true;
       break;
     }
     try {
-      SolveResult result = stage.Solve(solve);
+      MapResult result = RunStage(stages[i], request, eval, procs, options);
       if (!ran.empty()) ran += "+";
-      ran += stage.name();
-      // A stage the deadline interrupted returned an incumbent, not a
-      // certified optimum: it cannot claim exactness or win ties.
-      const bool stage_exact = stage.exact() && !result.timed_out;
+      ran += ToString(stages[i]);
+      // The quantity the stage minimized: the bottleneck effective
+      // response for throughput, the path latency otherwise.
+      const double value = request.objective == MapObjective::kThroughput
+                               ? eval.BottleneckResponse(result.mapping)
+                               : eval.Latency(result.mapping);
+      // Greedy is the one heuristic stage. A stage the deadline
+      // interrupted returned an incumbent, not a certified optimum: it
+      // cannot claim exactness or win ties either.
+      const bool stage_exact =
+          stages[i] != SolverPolicy::kGreedy && !result.timed_out;
       response.timed_out = response.timed_out || result.timed_out;
       // Keep the better objective; an exact solver's result wins ties so
       // the response can claim optimality.
-      const bool keep =
-          !best || result.objective_value < best->objective_value ||
-          (stage_exact &&
-           result.objective_value <= best->objective_value);
+      const bool keep = !best || value < best_value ||
+                        (stage_exact && value <= best_value);
       if (keep) {
         response.exact = stage_exact;
+        best_value = value;
         best = std::move(result);
         // Feed the incumbent forward for the next stage's pruning bound.
         warm->incumbent = best->mapping;
@@ -523,9 +594,9 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   }
 
   response.mapping = std::move(best->mapping);
-  response.objective_value = best->objective_value;
-  response.throughput = best->throughput;
-  response.latency = best->latency;
+  response.objective_value = best_value;
+  response.throughput = eval.Throughput(response.mapping);
+  response.latency = eval.Latency(response.mapping);
   response.work = best->work;
   response.pruned_cells = best->pruned_cells;
   response.solver = ran;

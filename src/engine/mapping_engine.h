@@ -12,12 +12,14 @@
 // Solver policy:
 //   * kAuto (throughput): run greedy for a fast incumbent, then escalate
 //     to the exact DP seeded with that incumbent (warm start). On
-//     instances small enough for the exhaustive reference (see
-//     EngineConfig thresholds) brute force additionally certifies the
-//     result. Escalation stops when the request's time budget is spent,
+//     instances small enough for the exhaustive reference (at most 5
+//     tasks on at most 10 processors) brute force additionally certifies
+//     the result. Escalation stops when the request's time budget is spent,
 //     in which case the response is marked inexact.
 //   * kAuto (latency objectives): the latency DP directly.
-//   * kDp / kGreedy / kBrute / kLatency: exactly that registry solver.
+//   * kDp / kGreedy / kBrute / kLatency: exactly that mapper. A policy
+//     that cannot answer the request's objective is rejected before any
+//     work is done.
 //
 // Caching: every request builds its Evaluator once; the request key
 // (RequestKey below, engine/fingerprint.h) is taken from the Evaluator's
@@ -50,17 +52,31 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/evaluator.h"
 #include "core/latency_mapper.h"
 #include "core/mapper.h"
 #include "core/task.h"
 #include "engine/single_flight.h"
 #include "engine/solution_cache.h"
-#include "engine/solver.h"
 #include "machine/machine.h"
 
 namespace pipemap {
 
-/// Which solver(s) the engine may use for a request.
+/// What the caller wants optimized. RequestKey folds the enumerator's
+/// value in, so the order is part of the key.
+enum class MapObjective {
+  /// Maximize throughput (minimize the bottleneck effective response).
+  kThroughput,
+  /// Minimize one data set's traversal latency.
+  kLatency,
+  /// Minimize latency subject to throughput >= min_throughput.
+  kLatencyWithFloor,
+};
+
+const char* ToString(MapObjective objective);
+
+/// Which solver(s) the engine may use for a request. Like MapObjective,
+/// the enumerator order is part of the request key.
 enum class SolverPolicy {
   kAuto,
   kDp,
@@ -194,10 +210,6 @@ struct SweepStats {
 struct EngineConfig {
   std::size_t cache_capacity = 256;
   std::size_t cache_shards = 8;
-  /// Instance-size ceiling for the brute-force certification stage of
-  /// SolverPolicy::kAuto (exhaustive search is exponential).
-  int brute_max_tasks = 5;
-  int brute_max_procs = 10;
   /// When non-empty, the solution cache persists to this directory
   /// (engine/cache_persist.h): inserts spill write-behind, misses probe
   /// disk lazily, and a restarted process starts warm.
@@ -205,10 +217,6 @@ struct EngineConfig {
   /// Disk budget for the persistent tier; 0 = unbounded. Crossing it
   /// evicts oldest entries (engine/cache_persist.h).
   std::uint64_t cache_dir_max_bytes = 0;
-  /// Collapse concurrent identical-fingerprint solves into one
-  /// (engine/single_flight.h). Purely a work saver; answers and cache
-  /// contents are unchanged.
-  bool single_flight = true;
 };
 
 class MappingEngine {
@@ -219,7 +227,8 @@ class MappingEngine {
   MappingEngine& operator=(const MappingEngine&) = delete;
 
   /// Solves one request (cache → portfolio → cache fill). Throws
-  /// pipemap::InvalidArgument on malformed requests and propagates the
+  /// pipemap::InvalidArgument on malformed requests, including a solver
+  /// policy that cannot answer the objective, and propagates the
   /// solvers' Infeasible/ResourceLimit.
   MapResponse Map(const MapRequest& request);
 
@@ -267,7 +276,7 @@ class MappingEngine {
   SolutionCache cache_;
   /// Leader-election table collapsing concurrent identical solves
   /// (engine/single_flight.h); consulted only after a cache miss on
-  /// cacheable requests when config_.single_flight is set.
+  /// cacheable requests.
   SingleFlightGroup single_flight_;
 
   /// Whole-sweep memoization (Frontier / MinProcs), FIFO-bounded at

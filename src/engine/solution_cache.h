@@ -1,4 +1,5 @@
-// Policy-composed cache of mapping solutions, keyed by request fingerprint.
+// Sharded LRU cache of mapping solutions, keyed by request fingerprint,
+// with an optional disk tier.
 //
 // The engine sees the same problem repeatedly: a frontier sweep rerun with
 // one flag changed, a simulator mapping the workload it just mapped, a
@@ -10,26 +11,15 @@
 // comparison, and a hit replays exactly the bytes a cold solve would have
 // produced.
 //
-// BasicSolutionCache is a skeleton over four policies
-// (engine/cache_policies.h, engine/cache_persist.h):
-//
-//   * Concurrency — how shards synchronize. The default sharded-mutex
-//     policy picks a shard by the key's low bits so concurrent engine
-//     users do not serialize on one lock; single-mutex and unlocked
-//     variants exist for low-contention and single-threaded embedders.
-//   * Eviction — which resident entry a full shard sacrifices (LRU).
-//   * Persistence — an optional disk tier (one checksummed file per
-//     fingerprint, see cache_persist.h). Disabled until
-//     EnablePersistence(dir); when enabled, a memory miss lazily probes
-//     disk and a hit there rehydrates the memory LRU, while inserts
-//     spill write-behind so restarts start warm.
-//   * Stats — aggregate stats() plus engine.cache.* registry counters,
-//     or nothing.
-//
-// The default instantiation (the SolutionCache alias) reproduces the
-// original hand-written sharded-LRU cache byte-for-byte when persistence
-// is not enabled — pinned by tests/engine/cache_policies_test.cpp, which
-// drives this template and a verbatim copy of the old implementation with
+// The key's low bits pick one of `shards` independently locked LRU
+// shards, so concurrent engine users do not serialize on one lock. The
+// disk tier (one checksummed file per fingerprint, engine/cache_persist.h)
+// stays disabled until EnablePersistence(dir); when enabled, a memory miss
+// lazily probes disk and a hit there rehydrates the memory LRU, while
+// inserts spill write-behind so restarts start warm. With the disk tier
+// off the cache behaves byte-for-byte like the original hand-written
+// sharded LRU, pinned by tests/engine/cache_policies_test.cpp, which
+// drives this class and a verbatim copy of the old implementation with
 // identical operation sequences.
 #pragma once
 
@@ -45,9 +35,9 @@
 #include <utility>
 #include <vector>
 
-#include "engine/cache_policies.h"
 #include "engine/cache_persist.h"
 #include "engine/cached_solution.h"
+#include "support/metrics.h"
 
 namespace pipemap {
 
@@ -59,111 +49,98 @@ struct SolutionCacheStats {
   std::size_t entries = 0;
   std::size_t capacity = 0;
   /// Persistent tier (all zero when no cache dir is configured). A disk
-  /// hit counts as a regular hit above AND a persist_hit here; the
+  /// hit counts as a regular hit above AND a persist.hits here; the
   /// rehydrating memory insert it triggers is NOT counted in inserts, so
   /// the hits+misses+inserts accounting identity survives restarts.
-  bool persist_enabled = false;
-  std::uint64_t persist_hits = 0;
-  std::uint64_t persist_misses = 0;
-  std::uint64_t persist_writes = 0;
-  std::uint64_t persist_write_drops = 0;
-  std::uint64_t persist_corrupt = 0;
-  std::uint64_t persist_errors = 0;
-  std::uint64_t persist_evicted = 0;
-  bool persist_read_only = false;
-  /// Disk-error circuit breaker (support/circuit_breaker.h).
-  std::string persist_breaker_state = "closed";
-  std::uint64_t persist_breaker_opens = 0;
-  std::uint64_t persist_breaker_skips = 0;
+  PersistTierStats persist;
 };
 
-template <typename Concurrency = ShardedMutexConcurrency,
-          typename Eviction = LruEviction,
-          typename Persistence = DiskPersistence,
-          typename Stats = MeteredStats>
-class BasicSolutionCache {
+class SolutionCache {
  public:
-  /// `capacity` entries total, split evenly over the policy's shard count
-  /// (each shard rounded up to hold at least one entry).
-  explicit BasicSolutionCache(std::size_t capacity = 256,
-                              std::size_t shards = 8) {
-    shards = Concurrency::NumShards(shards);
+  /// `capacity` entries total, split evenly over `shards` shards (each
+  /// shard rounded up to hold at least one entry).
+  explicit SolutionCache(std::size_t capacity = 256, std::size_t shards = 8) {
+    shards = std::max<std::size_t>(1, shards);
     capacity = std::max<std::size_t>(shards, capacity);
     per_shard_capacity_ = (capacity + shards - 1) / shards;
     shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
       shards_.push_back(std::make_unique<Shard>());
     }
-    capacity_ = per_shard_capacity_ * shards;
+    stats_.capacity = per_shard_capacity_ * shards;
   }
 
-  BasicSolutionCache(const BasicSolutionCache&) = delete;
-  BasicSolutionCache& operator=(const BasicSolutionCache&) = delete;
+  SolutionCache(const SolutionCache&) = delete;
+  SolutionCache& operator=(const SolutionCache&) = delete;
 
-  /// Returns the cached solution and refreshes its eviction-order
-  /// position, or nullopt. A memory miss probes the persistent tier when
-  /// one is enabled; a disk hit (CachedSolution::from_disk set) also
-  /// rehydrates the memory tier. Counts a hit or miss either way.
+  /// Returns the cached solution and refreshes its LRU position, or
+  /// nullopt. A memory miss probes the persistent tier when one is
+  /// enabled; a disk hit (CachedSolution::from_disk set) also rehydrates
+  /// the memory tier. Counts a hit or miss either way.
   std::optional<CachedSolution> Lookup(std::uint64_t key) {
     Shard& shard = ShardFor(key);
     std::optional<CachedSolution> result;
     {
-      std::lock_guard<typename Concurrency::Mutex> lock(shard.mu);
+      std::lock_guard<std::mutex> lock(shard.mu);
       const auto it = shard.index.find(key);
       if (it != shard.index.end()) {
-        Eviction::Touched(shard.lru, it->second);
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         result = it->second->second;
       }
     }
+    bool evicted = false;
     if (!result && persist_.enabled()) {
       if (std::optional<CachedSolution> loaded = persist_.Load(key)) {
         // Rehydrate the memory tier so repeats are pure memory hits (and,
-        // engine-side, the fingerprint is warm-pool eligible again). The
-        // load is not a caller insert — only its eviction is counted.
+        // engine-side, the key is warm-pool eligible again). The load is
+        // not a caller insert — only its eviction is counted.
         CachedSolution resident = *loaded;
         resident.from_disk = false;
-        stats_.RecordRehydrate(InsertEntry(key, std::move(resident)));
+        evicted = InsertEntry(key, std::move(resident));
         result = std::move(loaded);
       }
     }
-    stats_.RecordLookup(result.has_value());
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++(result ? stats_.hits : stats_.misses);
+      if (evicted) ++stats_.evictions;
+    }
+    if (result) {
+      PIPEMAP_COUNTER_ADD("engine.cache.hits", 1);
+    } else {
+      PIPEMAP_COUNTER_ADD("engine.cache.misses", 1);
+    }
+    if (evicted) PIPEMAP_COUNTER_ADD("engine.cache.evictions", 1);
     return result;
   }
 
   /// Inserts (or refreshes) `value` under `key`, evicting the shard's
-  /// policy-chosen victim when full, and spills the entry write-behind to
-  /// the persistent tier when one is enabled.
+  /// least recently used entry when full, and spills the entry
+  /// write-behind to the persistent tier when one is enabled.
   void Insert(std::uint64_t key, CachedSolution value) {
     value.from_disk = false;
     if (persist_.enabled()) persist_.Store(key, value);
-    stats_.RecordInsert(InsertEntry(key, std::move(value)));
+    const bool evicted = InsertEntry(key, std::move(value));
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.inserts;
+      if (evicted) ++stats_.evictions;
+    }
+    PIPEMAP_COUNTER_ADD("engine.cache.inserts", 1);
+    if (evicted) PIPEMAP_COUNTER_ADD("engine.cache.evictions", 1);
   }
 
   SolutionCacheStats stats() const {
-    const CacheAggregateStats agg = stats_.Snapshot();
     SolutionCacheStats out;
-    out.hits = agg.hits;
-    out.misses = agg.misses;
-    out.evictions = agg.evictions;
-    out.inserts = agg.inserts;
-    out.capacity = capacity_;
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      out = stats_;
+    }
     for (const auto& shard : shards_) {
-      std::lock_guard<typename Concurrency::Mutex> lock(shard->mu);
+      std::lock_guard<std::mutex> lock(shard->mu);
       out.entries += shard->lru.size();
     }
-    const PersistTierStats tier = persist_.stats();
-    out.persist_enabled = tier.enabled;
-    out.persist_hits = tier.hits;
-    out.persist_misses = tier.misses;
-    out.persist_writes = tier.writes;
-    out.persist_write_drops = tier.write_drops;
-    out.persist_corrupt = tier.corrupt;
-    out.persist_errors = tier.errors;
-    out.persist_evicted = tier.evicted;
-    out.persist_read_only = tier.read_only;
-    out.persist_breaker_state = tier.breaker_state;
-    out.persist_breaker_opens = tier.breaker_opens;
-    out.persist_breaker_skips = tier.breaker_skips;
+    out.persist = persist_.stats();
     return out;
   }
 
@@ -171,14 +148,13 @@ class BasicSolutionCache {
   /// untouched: Clear is a memory reset, not a forget.
   void Clear() {
     for (const auto& shard : shards_) {
-      std::lock_guard<typename Concurrency::Mutex> lock(shard->mu);
+      std::lock_guard<std::mutex> lock(shard->mu);
       shard->lru.clear();
       shard->index.clear();
     }
   }
 
-  /// Points the persistence policy at `dir` (see DiskPersistence::Enable;
-  /// a contract violation on persistence-free instantiations).
+  /// Points the disk tier at `dir` (see DiskPersistence::Enable).
   void EnablePersistence(const std::string& dir) { persist_.Enable(dir); }
   /// Same, with the full robustness knobs (size bound, disk breaker).
   void EnablePersistence(const DiskPersistOptions& options) {
@@ -194,13 +170,10 @@ class BasicSolutionCache {
 
  private:
   struct Shard {
-    // Mutable so const snapshots (stats) can lock like the original
-    // implementation did through its unique_ptr indirection.
-    mutable typename Concurrency::Mutex mu;
-    /// Ordered by the eviction policy (LRU: most recently used first).
+    std::mutex mu;
+    /// Most recently used first.
     std::list<std::pair<std::uint64_t, CachedSolution>> lru;
-    std::unordered_map<std::uint64_t, typename decltype(lru)::iterator>
-        index;
+    std::unordered_map<std::uint64_t, decltype(lru)::iterator> index;
   };
 
   Shard& ShardFor(std::uint64_t key) {
@@ -212,35 +185,31 @@ class BasicSolutionCache {
   /// disk rehydrate count differently).
   bool InsertEntry(std::uint64_t key, CachedSolution value) {
     Shard& shard = ShardFor(key);
-    bool evicted = false;
-    std::lock_guard<typename Concurrency::Mutex> lock(shard.mu);
+    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       it->second->second = std::move(value);
-      Eviction::Touched(shard.lru, it->second);
-    } else {
-      if (shard.lru.size() >= per_shard_capacity_) {
-        const auto victim = Eviction::Victim(shard.lru);
-        shard.index.erase(victim->first);
-        shard.lru.erase(victim);
-        evicted = true;
-      }
-      const auto pos =
-          Eviction::Inserted(shard.lru, std::make_pair(key, std::move(value)));
-      shard.index.emplace(key, pos);
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      return false;
     }
+    bool evicted = false;
+    if (shard.lru.size() >= per_shard_capacity_) {
+      shard.index.erase(shard.lru.back().first);
+      shard.lru.pop_back();
+      evicted = true;
+    }
+    shard.lru.emplace_front(key, std::move(value));
+    shard.index.emplace(key, shard.lru.begin());
     return evicted;
   }
 
   std::size_t per_shard_capacity_;
-  std::size_t capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  Persistence persist_;
-  Stats stats_;
+  DiskPersistence persist_;
+  /// hits, misses, evictions and inserts, plus the fixed capacity; the
+  /// other fields are filled in by stats().
+  mutable std::mutex stats_mu_;
+  SolutionCacheStats stats_;
 };
-
-/// The engine's default instantiation: sharded mutexes, LRU, a disk tier
-/// that stays dormant until EnablePersistence, metered stats.
-using SolutionCache = BasicSolutionCache<>;
 
 }  // namespace pipemap

@@ -912,18 +912,18 @@ std::string PipemapServer::HandleStats(const ServerRequest& request) {
   w.Key("entries").UInt(cache.entries);
   w.Key("capacity").UInt(cache.capacity);
   w.Key("persist").BeginObject();
-  w.Key("enabled").Bool(cache.persist_enabled);
-  w.Key("hits").UInt(cache.persist_hits);
-  w.Key("misses").UInt(cache.persist_misses);
-  w.Key("writes").UInt(cache.persist_writes);
-  w.Key("write_drops").UInt(cache.persist_write_drops);
-  w.Key("corrupt").UInt(cache.persist_corrupt);
-  w.Key("errors").UInt(cache.persist_errors);
-  w.Key("evicted").UInt(cache.persist_evicted);
-  w.Key("read_only").Bool(cache.persist_read_only);
-  w.Key("breaker_state").String(cache.persist_breaker_state);
-  w.Key("breaker_opens").UInt(cache.persist_breaker_opens);
-  w.Key("breaker_skips").UInt(cache.persist_breaker_skips);
+  w.Key("enabled").Bool(cache.persist.enabled);
+  w.Key("hits").UInt(cache.persist.hits);
+  w.Key("misses").UInt(cache.persist.misses);
+  w.Key("writes").UInt(cache.persist.writes);
+  w.Key("write_drops").UInt(cache.persist.write_drops);
+  w.Key("corrupt").UInt(cache.persist.corrupt);
+  w.Key("errors").UInt(cache.persist.errors);
+  w.Key("evicted").UInt(cache.persist.evicted);
+  w.Key("read_only").Bool(cache.persist.read_only);
+  w.Key("breaker_state").String(cache.persist.breaker_state);
+  w.Key("breaker_opens").UInt(cache.persist.breaker_opens);
+  w.Key("breaker_skips").UInt(cache.persist.breaker_skips);
   w.EndObject();
   w.EndObject();
   w.Key("singleflight").BeginObject();

@@ -222,8 +222,8 @@ TEST(SolutionCachePersistTest, DiskHitRehydratesTheMemoryTier) {
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.inserts, 0u);  // rehydration is not a caller Insert
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.persist_hits, 1u);  // exactly one file read
-  EXPECT_TRUE(stats.persist_enabled);
+  EXPECT_EQ(stats.persist.hits, 1u);  // exactly one file read
+  EXPECT_TRUE(stats.persist.enabled);
 }
 
 TEST(SolutionCachePersistTest, ClearDropsMemoryButNotDisk) {
@@ -457,7 +457,7 @@ TEST(SolutionCachePersistTest, MissingEntryFallsThroughToMiss) {
   EXPECT_FALSE(cache.Lookup(77));
   const SolutionCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.persist_misses, 1u);
+  EXPECT_EQ(stats.persist.misses, 1u);
 }
 
 }  // namespace

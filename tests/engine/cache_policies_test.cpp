@@ -1,10 +1,8 @@
-// Pins the policy-based BasicSolutionCache to the behavior of the
-// pre-refactor hand-written SolutionCache. `legacy` below is that
-// implementation, kept verbatim (minus the metrics macros, which are
-// instrumentation, not behavior): both caches are driven with identical
-// randomized op sequences and must agree on every lookup result and on
-// the final stats — the refactor is a pure reorganization, not a
-// behavior change.
+// Pins SolutionCache to the behavior of the original hand-written sharded
+// LRU. `legacy` below is that implementation, kept verbatim (minus the
+// metrics macros, which are instrumentation, not behavior): both caches
+// are driven with identical randomized op sequences and must agree on
+// every lookup result and on the final stats.
 #include <algorithm>
 #include <cstdint>
 #include <list>
@@ -18,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/solution_cache.h"
-#include "support/error.h"
 
 namespace pipemap {
 namespace legacy {
@@ -186,49 +183,9 @@ TEST(CachePoliciesTest, DefaultInstantiationMatchesLegacyByteForByte) {
   }
 }
 
-TEST(CachePoliciesTest, SingleLockPolicyMatchesLegacySingleShard) {
-  // One global lock is the same layout as one shard, so the single-lock
-  // instantiation must reproduce legacy shards=1 exactly.
-  legacy::SolutionCache reference(12, 1);
-  BasicSolutionCache<SingleMutexConcurrency, LruEviction, NullPersistence,
-                     MeteredStats>
-      subject(12, 1);
-  DriveIdentically(reference, subject, 7, 4000, 48);
-}
-
-TEST(CachePoliciesTest, UnlockedPolicyMatchesLegacySingleShard) {
-  legacy::SolutionCache reference(12, 1);
-  BasicSolutionCache<UnlockedConcurrency, LruEviction, NullPersistence,
-                     MeteredStats>
-      subject(12, 1);
-  DriveIdentically(reference, subject, 11, 4000, 48);
-}
-
-TEST(CachePoliciesTest, QuietStatsKeepsContentsButReportsNothing) {
-  BasicSolutionCache<ShardedMutexConcurrency, LruEviction, NullPersistence,
-                     QuietStats>
-      cache(8, 2);
-  cache.Insert(1, MakeSolution(1, 0));
-  ASSERT_TRUE(cache.Lookup(1).has_value());
-  EXPECT_FALSE(cache.Lookup(2).has_value());
-  const SolutionCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.inserts, 0u);
-  EXPECT_EQ(stats.entries, 1u);  // contents are real, counters are not
-}
-
-TEST(CachePoliciesTest, NullPersistenceRejectsEnable) {
-  BasicSolutionCache<ShardedMutexConcurrency, LruEviction, NullPersistence,
-                     MeteredStats>
-      cache(8, 2);
-  EXPECT_FALSE(cache.persistence_enabled());
-  EXPECT_THROW(cache.EnablePersistence("/tmp/anywhere"), InvalidArgument);
-}
-
 TEST(CachePoliciesTest, StatsIdentityHoldsUnderMixedLoad) {
   // hits + misses == lookups and inserts == Insert calls, the invariant
-  // the stress test asserts; pinned here on the policy build too.
+  // the stress test asserts; pinned here single-threaded too.
   SolutionCache cache(8, 4);
   std::uint64_t lookups = 0, inserts = 0;
   std::mt19937_64 rng(3);

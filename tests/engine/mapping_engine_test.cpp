@@ -15,6 +15,7 @@
 #include "machine/feasible.h"
 #include "support/deadline.h"
 #include "support/error.h"
+#include "support/metrics.h"
 #include "workloads/fft_hist.h"
 #include "workloads/radar.h"
 #include "../json_util.h"
@@ -55,26 +56,12 @@ MapRequest RequestFor(const TaskChain& chain, const MachineConfig& machine) {
   return request;
 }
 
-TEST(SolverRegistryTest, BuiltInSolversAreRegistered) {
-  for (const char* name : {"dp", "greedy", "brute", "latency"}) {
-    const Solver* solver = SolverRegistry::Global().Find(name);
-    ASSERT_NE(solver, nullptr) << name;
-    EXPECT_EQ(solver->name(), name);
-  }
-  EXPECT_EQ(SolverRegistry::Global().Find("nonsense"), nullptr);
-}
-
-TEST(SolverRegistryTest, CapabilitiesMatchTheAlgorithms) {
-  const SolverRegistry& registry = SolverRegistry::Global();
-  EXPECT_TRUE(registry.Find("dp")->Supports(MapObjective::kThroughput));
-  EXPECT_FALSE(registry.Find("dp")->Supports(MapObjective::kLatency));
-  EXPECT_FALSE(registry.Find("greedy")->Supports(MapObjective::kLatency));
-  EXPECT_TRUE(registry.Find("brute")->Supports(MapObjective::kLatency));
-  EXPECT_TRUE(
-      registry.Find("latency")->Supports(MapObjective::kLatencyWithFloor));
-  EXPECT_FALSE(registry.Find("latency")->Supports(MapObjective::kThroughput));
-  EXPECT_TRUE(registry.Find("dp")->exact());
-  EXPECT_FALSE(registry.Find("greedy")->exact());
+/// Runs of one portfolio stage so far in this process (its
+/// engine.solver.* counter; counted under ScopedMetricsEnable).
+std::uint64_t StageRuns(const std::string& stage) {
+  return MetricsRegistry::Global()
+      .GetCounter("engine.solver." + stage)
+      ->Total();
 }
 
 TEST(MappingEngineTest, AllFourSolversReachable) {
@@ -88,6 +75,9 @@ TEST(MappingEngineTest, AllFourSolversReachable) {
     request.solver = policy;
     const MapResponse response = engine.Map(request);
     EXPECT_EQ(response.solver, ToString(policy));
+    // Greedy is the one heuristic; the DP and brute force are exact.
+    EXPECT_EQ(response.exact, policy != SolverPolicy::kGreedy)
+        << ToString(policy);
     EXPECT_GT(response.throughput, 0.0);
     EXPECT_TRUE(response.mapping.IsValidFor(chain.size()));
   }
@@ -123,10 +113,18 @@ TEST(MappingEngineTest, AutoRunsGreedyThenDpAndIsExact) {
 
   MapRequest request = RequestFor(chain, machine);
   request.solver = SolverPolicy::kAuto;
+  const ScopedMetricsEnable metrics(true);
+  const std::uint64_t greedy_runs = StageRuns("greedy");
+  const std::uint64_t dp_runs = StageRuns("dp");
+  const std::uint64_t brute_runs = StageRuns("brute");
   const MapResponse response = engine.Map(request);
-  // 3 tasks on 16 procs: above brute_max_procs, so greedy + dp only.
+  // 3 tasks on 16 procs: above the brute-force ceiling of 10 procs, so
+  // greedy + dp only.
   EXPECT_EQ(response.solver, "greedy+dp");
   EXPECT_TRUE(response.exact);
+  EXPECT_EQ(StageRuns("greedy") - greedy_runs, 1u);
+  EXPECT_EQ(StageRuns("dp") - dp_runs, 1u);
+  EXPECT_EQ(StageRuns("brute") - brute_runs, 0u);
 
   MapRequest dp = request;
   dp.solver = SolverPolicy::kDp;
@@ -140,14 +138,17 @@ TEST(MappingEngineTest, AutoCertifiesWithBruteOnTinyInstances) {
       {EdgeSpec{}});
   MachineConfig machine = SmallMachine();
   machine.grid_rows = 2;
-  machine.grid_cols = 2;  // 4 procs <= brute_max_procs
+  machine.grid_cols = 2;  // 4 procs, within the brute-force ceiling
   MappingEngine engine;
 
   MapRequest request = RequestFor(chain, machine);
   request.solver = SolverPolicy::kAuto;
+  const ScopedMetricsEnable metrics(true);
+  const std::uint64_t brute_runs = StageRuns("brute");
   const MapResponse response = engine.Map(request);
   EXPECT_EQ(response.solver, "greedy+dp+brute");
   EXPECT_TRUE(response.exact);
+  EXPECT_EQ(StageRuns("brute") - brute_runs, 1u);
 }
 
 TEST(MappingEngineTest, AutoLatencyUsesLatencySolver) {
@@ -155,10 +156,13 @@ TEST(MappingEngineTest, AutoLatencyUsesLatencySolver) {
   MappingEngine engine;
   MapRequest request = RequestFor(chain, SmallMachine());
   request.objective = MapObjective::kLatency;
+  const ScopedMetricsEnable metrics(true);
+  const std::uint64_t latency_runs = StageRuns("latency");
   const MapResponse response = engine.Map(request);
   EXPECT_EQ(response.solver, "latency");
   EXPECT_TRUE(response.exact);
   EXPECT_NEAR(response.objective_value, response.latency, 1e-12);
+  EXPECT_EQ(StageRuns("latency") - latency_runs, 1u);
 }
 
 TEST(MappingEngineTest, CachedMappingIsByteIdenticalToRecomputed) {
@@ -576,6 +580,39 @@ TEST(MappingEngineTest, InvalidRequestsThrow) {
   floor.objective = MapObjective::kLatencyWithFloor;
   floor.min_throughput = 0.5;
   EXPECT_NO_THROW(engine.Map(floor));
+
+  // A policy answers only the objectives its mapper optimizes. A
+  // mismatched pair is rejected before the request misses the cache or
+  // leads a single-flight solve.
+  const struct {
+    SolverPolicy solver;
+    MapObjective objective;
+    bool supported;
+  } pairs[] = {
+      {SolverPolicy::kDp, MapObjective::kLatency, false},
+      {SolverPolicy::kDp, MapObjective::kLatencyWithFloor, false},
+      {SolverPolicy::kGreedy, MapObjective::kLatency, false},
+      {SolverPolicy::kGreedy, MapObjective::kLatencyWithFloor, false},
+      {SolverPolicy::kLatency, MapObjective::kThroughput, false},
+      {SolverPolicy::kBrute, MapObjective::kLatency, true},
+      {SolverPolicy::kBrute, MapObjective::kLatencyWithFloor, true},
+      {SolverPolicy::kLatency, MapObjective::kLatencyWithFloor, true},
+  };
+  for (const auto& pair : pairs) {
+    MapRequest request = floor;
+    request.solver = pair.solver;
+    request.objective = pair.objective;
+    const std::uint64_t misses = engine.cache().stats().misses;
+    const std::uint64_t leaders = engine.single_flight_stats().leaders;
+    if (pair.supported) {
+      EXPECT_NO_THROW(engine.Map(request)) << ToString(pair.solver);
+      continue;
+    }
+    EXPECT_THROW(engine.Map(request), InvalidArgument)
+        << ToString(pair.solver) << " / " << ToString(pair.objective);
+    EXPECT_EQ(engine.cache().stats().misses, misses);
+    EXPECT_EQ(engine.single_flight_stats().leaders, leaders);
+  }
 }
 
 /// The chain with its last edge's communication costs scaled by `factor`
@@ -672,7 +709,7 @@ TEST(MappingEngineTest, PersistentTierServesRestartedProcessFromDisk) {
   const MapResponse memory = engine.Map(request);
   EXPECT_TRUE(memory.cache_hit);
   EXPECT_EQ(memory.cache_tier, "memory");
-  EXPECT_EQ(engine.cache().stats().persist_hits, 1u);
+  EXPECT_EQ(engine.cache().stats().persist.hits, 1u);
 
   const std::string json = disk.ToJson();
   EXPECT_TRUE(IsValidJson(json)) << json;

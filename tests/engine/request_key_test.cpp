@@ -250,10 +250,10 @@ TEST(RequestKeyTest, V1EntryUnderAV2KeyIsAMissAndIsOverwritten) {
   EXPECT_FALSE(response.cache_hit);
   EXPECT_EQ(response.fingerprint, key);
   const SolutionCacheStats stats = engine.cache().stats();
-  EXPECT_EQ(stats.persist_hits, 0u);
-  EXPECT_EQ(stats.persist_misses, 1u);
-  EXPECT_EQ(stats.persist_errors, 0u);
-  EXPECT_EQ(stats.persist_breaker_state, "closed");
+  EXPECT_EQ(stats.persist.hits, 0u);
+  EXPECT_EQ(stats.persist.misses, 1u);
+  EXPECT_EQ(stats.persist.errors, 0u);
+  EXPECT_EQ(stats.persist.breaker_state, "closed");
 
   // The solve's insert replaces the stale file with a v2 entry.
   engine.cache().FlushPersistence();

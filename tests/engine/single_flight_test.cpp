@@ -178,21 +178,5 @@ TEST(SingleFlightEngineTest, ConcurrentIdenticalRequestsSolveOnce) {
   EXPECT_EQ(flights.failed_leaders, 0u);
 }
 
-TEST(SingleFlightEngineTest, ConfigCanDisableDedup) {
-  EngineConfig config;
-  config.single_flight = false;
-  MappingEngine engine(config);
-  const Workload workload = SlowProblem();
-  MapRequest request;
-  request.chain = &workload.chain;
-  request.machine = workload.machine;
-  request.solver = SolverPolicy::kDp;
-  request.use_cache = true;
-  (void)engine.Map(request);
-  (void)engine.Map(request);  // cache hit, but never a flight
-  EXPECT_EQ(engine.single_flight_stats().leaders, 0u);
-  EXPECT_EQ(engine.cache().stats().hits, 1u);
-}
-
 }  // namespace
 }  // namespace pipemap

@@ -143,10 +143,10 @@ TEST(SolutionCacheStressTest, PersistentTierUnderConcurrentSpillAndLoad) {
   // hit, a rehydrate is not an insert.
   EXPECT_EQ(stats.hits + stats.misses + stats.inserts,
             static_cast<std::uint64_t>(kOps));
-  EXPECT_TRUE(stats.persist_enabled);
-  EXPECT_GT(stats.persist_writes, 0u);
-  EXPECT_GT(stats.persist_corrupt, 0u);
-  EXPECT_EQ(stats.persist_errors, 0u);
+  EXPECT_TRUE(stats.persist.enabled);
+  EXPECT_GT(stats.persist.writes, 0u);
+  EXPECT_GT(stats.persist.corrupt, 0u);
+  EXPECT_EQ(stats.persist.errors, 0u);
 
   // Deterministic disk-hit pass: with every accepted spill flushed and
   // only `capacity` of the keyspace resident, sweeping all 128 keys must
@@ -162,7 +162,7 @@ TEST(SolutionCacheStressTest, PersistentTierUnderConcurrentSpillAndLoad) {
     }
   }
   EXPECT_GT(disk_hits, 0);
-  EXPECT_GT(cache.stats().persist_hits, 0u);
+  EXPECT_GT(cache.stats().persist.hits, 0u);
 
   std::filesystem::remove_all(dir);
 }
