@@ -5,13 +5,18 @@
 // the full 1..8 thread ladder, verifies every run returns the identical
 // mapping and objective (the engine's determinism contract), and records
 // per-worker work shares so partition imbalance is tracked alongside wall
-// time. The ladder is NOT clamped to the visible core count: determinism
-// must hold oversubscribed too, so runs beyond the available concurrency
-// execute and are flagged `oversubscribed` in the JSON (their wall times
-// measure scheduling noise, not scaling, and downstream tooling skips
-// them). `hardware_threads` reports ThreadPool::AvailableConcurrency() —
-// the affinity-aware count the mappers actually use, overridable with
-// PIPEMAP_HARDWARE_THREADS — not the raw cpuinfo count.
+// time, together with each rung's CPU split (user vs sys), minor page
+// faults (getrusage deltas over the process) and DP table bytes (the
+// dp.table_bytes gauge, reset before the rung), so a memory-bound solve
+// shows up as sys time and faults, not just as wall time. The process's
+// peak RSS is recorded at exit. The ladder is NOT clamped to the visible
+// core count: determinism must hold oversubscribed too, so runs beyond the
+// available concurrency execute and are flagged `oversubscribed` in the
+// JSON (their wall times measure scheduling noise, not scaling, and
+// downstream tooling skips them). `hardware_threads` reports
+// ThreadPool::AvailableConcurrency() — the affinity-aware count the
+// mappers actually use, overridable with PIPEMAP_HARDWARE_THREADS — not
+// the raw cpuinfo count.
 //
 // Part 2 measures the incremental re-solve path: solve once with sweep
 // capture on, perturb the last edge's communication costs, and re-solve
@@ -36,6 +41,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "core/dp_mapper.h"
 #include "core/evaluator.h"
 #include "core/warm_start.h"
@@ -57,6 +64,10 @@ struct ThreadSample {
   std::uint64_t pruned_cells = 0;
   double throughput = 0.0;
   double work_imbalance = 1.0;
+  double user_s = 0.0;
+  double sys_s = 0.0;
+  long minor_faults = 0;
+  double table_bytes = 0.0;
   std::vector<std::uint64_t> worker_work;
   std::string mapping;
 };
@@ -74,6 +85,17 @@ double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+double Seconds(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) +
+         1e-6 * static_cast<double>(tv.tv_usec);
+}
+
+rusage SelfUsage() {
+  rusage u{};
+  ::getrusage(RUSAGE_SELF, &u);
+  return u;
 }
 
 /// max(worker share) / mean(worker share): 1.0 is a perfect partition.
@@ -134,6 +156,8 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
                        /*num_threads=*/0);
 
   MetricsRegistry::Global().Reset();
+  MetricsRegistry::Gauge* const table_bytes =
+      MetricsRegistry::Global().GetGauge("dp.table_bytes");
 
   std::vector<ThreadSample> samples;
   for (int threads = 1; threads <= 8; threads *= 2) {
@@ -142,10 +166,17 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
     options.num_threads = threads;
     options.observe = true;
     const DpMapper mapper(options);
+    table_bytes->Set(0.0);
+    const rusage before = SelfUsage();
     const double start = Now();
     const MapResult r = mapper.Map(eval, procs);
     const double wall = Now() - start;
+    const rusage after = SelfUsage();
     ThreadSample s;
+    s.user_s = Seconds(after.ru_utime) - Seconds(before.ru_utime);
+    s.sys_s = Seconds(after.ru_stime) - Seconds(before.ru_stime);
+    s.minor_faults = after.ru_minflt - before.ru_minflt;
+    s.table_bytes = table_bytes->Value();
     s.threads = threads;
     s.oversubscribed = threads > physical;
     s.wall_s = wall;
@@ -156,13 +187,16 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
     s.work_imbalance = WorkImbalance(r.worker_work);
     s.mapping = r.mapping.ToString(w.chain);
     samples.push_back(std::move(s));
+    const ThreadSample& last = samples.back();
     std::printf("  %d thread%s: %8.3f s   work=%llu  pruned=%llu"
-                "  imbalance=%.3f%s\n",
+                "  imbalance=%.3f  user=%.3f s sys=%.3f s faults=%ld"
+                "  table=%.1f MB%s\n",
                 threads, threads == 1 ? " " : "s", wall,
                 static_cast<unsigned long long>(r.work),
                 static_cast<unsigned long long>(r.pruned_cells),
-                samples.back().work_imbalance,
-                samples.back().oversubscribed ? "  (oversubscribed)" : "");
+                last.work_imbalance, last.user_s, last.sys_s,
+                last.minor_faults, last.table_bytes / 1e6,
+                last.oversubscribed ? "  (oversubscribed)" : "");
   }
 
   bool identical = true;
@@ -246,6 +280,10 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
     jw.Key("pruned_cells").UInt(s.pruned_cells);
     jw.Key("throughput").Double(s.throughput);
     jw.Key("work_imbalance").Double(s.work_imbalance);
+    jw.Key("user_s").Double(s.user_s);
+    jw.Key("sys_s").Double(s.sys_s);
+    jw.Key("minor_faults").Int(s.minor_faults);
+    jw.Key("table_bytes").Double(s.table_bytes);
     jw.Key("worker_work").BeginArray();
     for (const std::uint64_t share : s.worker_work) jw.UInt(share);
     jw.EndArray();
@@ -260,6 +298,9 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
   jw.Key("resweep_from").Int(inc.resweep_from);
   jw.Key("identical_to_cold").Bool(inc.identical);
   jw.EndObject();
+  // ru_maxrss is in KiB on Linux.
+  jw.Key("peak_rss_mb").Double(static_cast<double>(SelfUsage().ru_maxrss) /
+                               1024.0);
   jw.Key("metrics").Raw(MetricsRegistry::Global().Snapshot().ToJson());
   jw.EndObject();
   out << jw.str();

@@ -333,21 +333,41 @@ constexpr std::int64_t kMinWorkPerWorker = 16384;
 
 int RoundUp4(int n) { return (n + 3) & ~3; }
 
-/// Empty cell marker: lo = 0xffff, hi = 0 (hi <= lo). See
-/// FlatStage::slot_range.
-constexpr std::uint32_t kEmptyCellRange = 0xffffu;
+/// Empty cell: lo = 0xffff, hi = 0 (hi <= lo), no block.
+constexpr CellIndex kEmptyCell{0xffffu, 0};
 
-/// (Re)initializes a stage to the unreachable state. Only the per-cell
-/// occupancy ranges and row flags are reset — the value/bp tables are
-/// never bulk-cleared (a full clear of the O(cap^2 * slots) tables per
-/// stage used to dominate the sweep's memory traffic); lanes outside a
-/// cell's [lo, hi) range are garbage by contract and never read.
-void ClearStage(FlatStage& s, std::size_t cells, int rows) {
-  std::uint32_t* r = s.slot_range.data();
-  for (std::size_t i = 0; i < cells; ++i) r[i] = kEmptyCellRange;
-  for (int row = 0; row < rows; ++row) {
-    s.row_live[static_cast<std::size_t>(row)].value.store(
-        0, std::memory_order_relaxed);
+/// Bytes per pool lane: one value and one backpointer.
+constexpr std::size_t kLaneBytes = sizeof(double) + sizeof(std::uint32_t);
+
+/// Largest grid (buffer capacity) a thread keeps for its next cold solve.
+/// A larger one is freed, so one big solve does not stay pinned on a
+/// long-lived worker thread.
+constexpr std::size_t kMaxRetainedGridBytes = std::size_t{64} << 20;
+
+/// The calling thread's last uncaptured grid; its next cold solve lays its
+/// stages out in these buffers instead of faulting in fresh ones.
+std::shared_ptr<DpSweepState>& RetainedGrid() {
+  thread_local std::shared_ptr<DpSweepState> grid;
+  return grid;
+}
+
+std::size_t CapacityBytes(const DpSweepState& grid) {
+  std::size_t bytes = 0;
+  for (const FlatStage& s : grid.stages) {
+    bytes += s.cells.capacity() * sizeof(CellIndex) +
+             s.value.capacity() * sizeof(double) +
+             s.bp.capacity() * sizeof(std::uint32_t) +
+             s.row_live.capacity() * sizeof(s.row_live[0]);
+  }
+  return bytes;
+}
+
+/// Empties every cell and row of a stage. The pool is left to the next
+/// layout.
+void ClearStage(FlatStage& s, std::size_t cells) {
+  s.cells.assign(cells, kEmptyCell);
+  for (auto& flag : s.row_live) {
+    flag.value.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -562,10 +582,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
   }
   const int nslots = static_cast<int>(slot_procs.size());
   const int nslots4 = RoundUp4(nslots);
-  // Pad the slot pitch to 16 doubles: value rows start on cache lines
-  // (16 * 8 = two lines) and bp rows (4-byte entries) on their own line,
-  // so workers writing neighbouring (pu, b) cells never share one.
-  const int slot_pitch = (nslots + 15) & ~15;
 
   // Upper bound on the optimum from cheap heuristic mappings, tightened
   // by the warm start's incumbent when one fits the current constraints.
@@ -619,8 +635,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
         s.policy == policy && s.rule == problem.config_rule &&
         s.response_cap == response_cap &&
         s.has_predicate == static_cast<bool>(options.proc_feasible) &&
-        s.path_sum == path_sum && s.slot_procs == slot_procs &&
-        s.slot_pitch == slot_pitch;
+        s.path_sum == path_sum && s.slot_procs == slot_procs;
     if (key_ok) {
       int dirty = ComputeDirtyFrom(s, eval, k, max_len);
       bool gates_ok = true;
@@ -641,8 +656,11 @@ DpSolution RunChainDp(const DpProblem& problem) {
   }
   const bool fresh_grid = sweep == nullptr;
   if (fresh_grid) {
-    sweep = std::make_shared<DpSweepState>();
+    sweep = std::exchange(RetainedGrid(), nullptr);
+    if (sweep == nullptr) sweep = std::make_shared<DpSweepState>();
+    for (FlatStage& s : sweep->stages) s.allocated = false;
     sweep->stages.resize(static_cast<std::size_t>(k) * k);
+    sweep->allocated_bytes = 0;
     rebuild_from = 0;
   }
   DpSweepState& grid = *sweep;
@@ -650,38 +668,52 @@ DpSolution RunChainDp(const DpProblem& problem) {
     return grid.stages[static_cast<std::size_t>(j) * k + (len - 1)];
   };
 
+  // Table bytes: a stage's index and row flags when it is allocated, its
+  // pool when it is laid out (re-laying one out releases the old pool).
+  auto charge = [&](std::size_t add, std::size_t release) {
+    grid.allocated_bytes = grid.allocated_bytes - release + add;
+    if (grid.allocated_bytes > options.max_table_bytes) {
+      throw ResourceLimit(
+          "RunChainDp: DP table exceeds max_table_bytes; reduce P or use "
+          "GreedyMapper");
+    }
+  };
   const std::size_t stage_cells =
       static_cast<std::size_t>(cap + 1) * (cap + 1);
-  const std::size_t stage_extent = stage_cells * slot_pitch;
-  const std::size_t bytes_per_stage =
-      stage_extent * (sizeof(double) + sizeof(std::uint32_t)) +
-      stage_cells * sizeof(std::uint32_t) +
-      static_cast<std::size_t>(cap + 1) * kCacheLineBytes;
   auto ensure_stage = [&](int j, int len) -> FlatStage& {
     FlatStage& s = stage_at(j, len);
     if (!s.allocated) {
-      grid.allocated_bytes += bytes_per_stage;
-      if (grid.allocated_bytes > options.max_table_bytes) {
-        throw ResourceLimit(
-            "RunChainDp: DP table exceeds max_table_bytes; reduce P or use "
-            "GreedyMapper");
+      charge(stage_cells * sizeof(CellIndex) +
+                 static_cast<std::size_t>(cap + 1) * sizeof(s.row_live[0]),
+             0);
+      if (s.row_live.size() != static_cast<std::size_t>(cap) + 1) {
+        s.row_live =
+            std::vector<CacheLinePadded<std::atomic<char>>>(cap + 1);
       }
-      s.value.Reset(stage_extent);
-      s.bp.Reset(stage_extent);
-      s.slot_range.Reset(stage_cells);
-      s.row_live =
-          std::vector<CacheLinePadded<std::atomic<char>>>(cap + 1);
-      ClearStage(s, stage_cells, cap + 1);
+      ClearStage(s, stage_cells);
+      s.value.clear();  // a recycled pool holds no charged bytes
       s.allocated = true;
     }
     return s;
+  };
+  // Sizes a stage's pools to `lanes`, every value lane +inf.
+  auto layout_pool = [&](FlatStage& s, std::size_t lanes) {
+    if (lanes > std::numeric_limits<std::uint32_t>::max()) {
+      throw ResourceLimit("RunChainDp: DP stage exceeds 2^32 lanes");
+    }
+    charge(lanes * kLaneBytes, s.value.size() * kLaneBytes);
+    s.value.assign(lanes, kInf);
+    s.bp.reserve(lanes);  // exact, where resize alone may double
+    s.bp.resize(lanes);
   };
   // Stages at or past the rebuild point are re-derived from scratch.
   if (!fresh_grid) {
     for (int j = rebuild_from; j < k; ++j) {
       for (int len = 1; len <= std::min(max_len, j + 1); ++len) {
         FlatStage& s = stage_at(j, len);
-        if (s.allocated) ClearStage(s, stage_cells, cap + 1);
+        if (!s.allocated) continue;
+        ClearStage(s, stage_cells);
+        layout_pool(s, 0);
       }
     }
   }
@@ -690,52 +722,59 @@ DpSolution RunChainDp(const DpProblem& problem) {
   };
 
   // Single write point for a stage cell (pu, b, dslot): maintains the
-  // cell's initialized-lane range (gap lanes fill with +inf on extension),
-  // applies the strict-< minimum rule against initialized lanes, and
-  // stores value + backpointer together. Every (cell, slot) is owned by
-  // exactly one worker within a sweep (the source row of a write to
+  // cell's written-lane range, applies the strict-< minimum rule against
+  // written lanes, and stores value + backpointer together. The lane lies
+  // in the cell's block (see FlatStage), and every (cell, slot) is owned
+  // by exactly one worker within a sweep (the source row of a write to
   // (pu + b2, b2) is recoverable as pu), so no synchronization is needed.
   // Returns whether the cell was updated.
-  auto cell_write = [slot_pitch](FlatStage& s, std::size_t cell, int dslot,
-                                 double nv, std::uint32_t bpv) -> bool {
-    const std::size_t base = cell * static_cast<std::size_t>(slot_pitch);
-    double* lanes = s.value.data() + base;
-    std::uint32_t& range = s.slot_range[cell];
-    const int lo = static_cast<int>(range & 0xffffu);
-    const int hi = static_cast<int>(range >> 16);
+  auto cell_write = [](FlatStage& s, std::size_t cell, int dslot, double nv,
+                       std::uint32_t bpv) -> bool {
+    CellIndex& c = s.cells[cell];
+    const std::size_t lane = c.lane_base + static_cast<std::uint32_t>(dslot);
+    assert(lane < s.value.size());
+    const int lo = static_cast<int>(c.slot_range & 0xffffu);
+    const int hi = static_cast<int>(c.slot_range >> 16);
     if (hi <= lo) {
-      range = static_cast<std::uint32_t>(dslot) |
-              (static_cast<std::uint32_t>(dslot + 1) << 16);
+      c.slot_range = static_cast<std::uint32_t>(dslot) |
+                     (static_cast<std::uint32_t>(dslot + 1) << 16);
     } else if (dslot < lo) {
-      for (int g = dslot + 1; g < lo; ++g) lanes[g] = kInf;
-      range = static_cast<std::uint32_t>(dslot) |
-              (static_cast<std::uint32_t>(hi) << 16);
+      c.slot_range = static_cast<std::uint32_t>(dslot) |
+                     (static_cast<std::uint32_t>(hi) << 16);
     } else if (dslot >= hi) {
-      for (int g = hi; g < dslot; ++g) lanes[g] = kInf;
-      range = static_cast<std::uint32_t>(lo) |
-              (static_cast<std::uint32_t>(dslot + 1) << 16);
-    } else if (!(nv < lanes[dslot])) {
+      c.slot_range = static_cast<std::uint32_t>(lo) |
+                     (static_cast<std::uint32_t>(dslot + 1) << 16);
+    } else if (!(nv < s.value[lane])) {
       return false;
     }
-    lanes[dslot] = nv;
-    s.bp[base + dslot] = bpv;
+    s.value[lane] = nv;
+    s.bp[lane] = bpv;
     return true;
   };
 
-  // Seed: first module [0 .. len-1] with budget b. Under prefix reuse,
-  // seeds landing in clean stages are already in the captured tables.
+  // Seed: first module [0 .. len-1] with budget b, one lane per (b, b)
+  // cell. Under prefix reuse, seeds landing in clean stages are already
+  // in the captured tables.
+  std::vector<int> seeds;
   for (int len = 1; len <= std::min(max_len, k); ++len) {
     const int last = len - 1;
     if (!fresh_grid && last < rebuild_from) continue;
     const std::size_t cbase = ctx.CfgBase(0, last);
     const long long suffix_needed = suffix_min[last + 1];
+    seeds.clear();
     for (int b = 1; b <= cap; ++b) {
       if (!cfg_valid[cbase + b]) continue;
       if (b + suffix_needed > cap) break;
-      FlatStage& s = ensure_stage(last, len);
-      if (cell_write(s, cell_index(b, b), 0, 0.0, PackBp(0, 0, 0))) {
-        s.row_live[b].value.store(1, std::memory_order_relaxed);
-      }
+      seeds.push_back(b);
+    }
+    if (seeds.empty()) continue;
+    FlatStage& s = ensure_stage(last, len);
+    layout_pool(s, seeds.size());
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      const int b = seeds[i];
+      s.cells[cell_index(b, b)].lane_base = static_cast<std::uint32_t>(i);
+      cell_write(s, cell_index(b, b), 0, 0.0, PackBp(0, 0, 0));
+      s.row_live[b].value.store(1, std::memory_order_relaxed);
     }
   }
 
@@ -794,10 +833,80 @@ DpSolution RunChainDp(const DpProblem& problem) {
   // cannot write into the rebuilt suffix at all).
   const int sweep_from =
       fresh_grid ? 0 : std::max(0, rebuild_from - max_len);
+  // Per source row, the slot span [row_lo, row_hi) of its live cells: the
+  // lanes its writes can land in. target_stage[len2] is the laid-out stage
+  // (j + len2, len2) of the current iteration, or null.
+  std::vector<int> row_lo(static_cast<std::size_t>(cap) + 1);
+  std::vector<int> row_hi(static_cast<std::size_t>(cap) + 1);
+  std::vector<FlatStage*> target_stage(
+      static_cast<std::size_t>(max_len) + 1);
   for (int j = sweep_from; j < k && !aborted; ++j) {
     // Clean source stages only emit into rebuilt destinations; their own
     // tables and terminal candidates are already accounted for.
     const bool source_only = !fresh_grid && j < rebuild_from;
+
+    // Lay out the stages this iteration writes (see FlatStage): every
+    // destination cell (pu + b2, b2) that passes the sweep's own target
+    // tests below gets a block spanning source row pu's slots. The
+    // source stages (j, *) are final, so the layout is exact.
+    std::fill(target_stage.begin(), target_stage.end(), nullptr);
+    if (j < k - 1) {
+      std::fill(row_lo.begin(), row_lo.end(), nslots);
+      std::fill(row_hi.begin(), row_hi.end(), 0);
+      int min_live_pu = cap + 1;
+      for (int len = 1; len <= std::min(max_len, j + 1); ++len) {
+        const FlatStage& s = stage_at(j, len);
+        if (!s.allocated) continue;
+        const std::size_t cbase = ctx.CfgBase(j - len + 1, j);
+        for (int pu = 1; pu <= cap; ++pu) {
+          if (!s.row_live[pu].value.load(std::memory_order_relaxed)) {
+            continue;
+          }
+          for (int b = 1; b <= pu; ++b) {
+            const std::uint32_t r = s.cells[cell_index(pu, b)].slot_range;
+            if (!cfg_valid[cbase + b] || (r >> 16) <= (r & 0xffffu)) {
+              continue;
+            }
+            const int sl =
+                slot_of[static_cast<std::size_t>(cfg_procs[cbase + b])];
+            row_lo[pu] = std::min(row_lo[pu], sl);
+            row_hi[pu] = std::max(row_hi[pu], sl + 1);
+          }
+          if (row_hi[pu] > row_lo[pu]) {
+            min_live_pu = std::min(min_live_pu, pu);
+          }
+        }
+      }
+      for (int len2 = 1; len2 <= std::min(max_len, k - 1 - j); ++len2) {
+        const int next_last = j + len2;
+        const int next_min = ctx.MinBudget(j + 1, next_last);
+        const long long tail = suffix_min[next_last + 1];
+        // Under prefix reuse, writes into clean stages are already in the
+        // captured tables (and would be no-ops: the min-update is
+        // idempotent); they are skipped.
+        if (!fresh_grid && next_last < rebuild_from) continue;
+        if (next_min >= kInfeasibleProcs ||
+            min_live_pu + next_min + tail > cap) {
+          continue;
+        }
+        FlatStage& ns = ensure_stage(next_last, len2);
+        const std::size_t nbase = ctx.CfgBase(j + 1, next_last);
+        std::size_t lanes = 0;
+        for (int pu = min_live_pu; pu + next_min + tail <= cap; ++pu) {
+          const int span = row_hi[pu] - row_lo[pu];
+          if (span <= 0) continue;
+          for (int b2 = next_min; b2 <= cap - pu - tail; ++b2) {
+            if (!cfg_valid[nbase + b2]) continue;
+            ns.cells[cell_index(pu + b2, b2)].lane_base =
+                static_cast<std::uint32_t>(lanes - row_lo[pu]);
+            lanes += static_cast<std::size_t>(span);
+          }
+        }
+        layout_pool(ns, lanes);
+        target_stage[len2] = &ns;
+      }
+    }
+
     for (int len = 1; len <= std::min(max_len, j + 1); ++len) {
       if (deadline != nullptr && deadline->ExpiredNow()) {
         aborted = true;
@@ -869,12 +978,12 @@ DpSolution RunChainDp(const DpProblem& problem) {
         }
       }
 
-      // Pre-allocate every stage this sweep can write, so the parallel
-      // rows never mutate the grid, and flatten each target's valid
-      // budgets into ascending arrays the kernel can scan, together with
-      // the outgoing-transfer costs per rank (gathered once per stage
-      // instead of once per cell). Reachability matches the per-row budget
-      // test at the smallest live row (the easiest to extend).
+      // The target stages were laid out above, so the parallel rows never
+      // mutate the grid. Flatten each target's valid budgets into
+      // ascending arrays the kernel can scan, together with the
+      // outgoing-transfer costs per rank (gathered once per stage instead
+      // of once per cell). Reachability matches the per-row budget test
+      // at the smallest live row (the easiest to extend).
       struct Target {
         FlatStage* stage = nullptr;
         long long tail_needed = 0;
@@ -894,13 +1003,8 @@ DpSolution RunChainDp(const DpProblem& problem) {
           const bool reachable =
               t.next_min < kInfeasibleProcs &&
               min_live_pu + t.next_min + t.tail_needed <= cap;
-          // Under prefix reuse, writes into clean stages are already in
-          // the captured tables (and would be no-ops: the min-update is
-          // idempotent); skip them.
-          const bool wanted =
-              fresh_grid || next_last >= rebuild_from;
-          if (reachable && wanted) {
-            t.stage = &ensure_stage(next_last, len2);
+          if (reachable && target_stage[len2] != nullptr) {
+            t.stage = target_stage[len2];
             const std::size_t nbase = ctx.CfgBase(j + 1, next_last);
             std::vector<int> procs2;
             for (int b2 = 1; b2 <= cap; ++b2) {
@@ -958,17 +1062,18 @@ DpSolution RunChainDp(const DpProblem& problem) {
           const int pu = live_rows[static_cast<std::size_t>(row)];
           for (int b = 1; b <= pu; ++b) {
             if (!cfg_valid[cbase + b]) continue;
-            const std::size_t cell = cell_index(pu, b);
-            const std::uint32_t crange = s.slot_range[cell];
-            const int lo = static_cast<int>(crange & 0xffffu);
-            const int hi = static_cast<int>(crange >> 16);
+            const CellIndex c = s.cells[cell_index(pu, b)];
+            const int lo = static_cast<int>(c.slot_range & 0xffffu);
+            const int hi = static_cast<int>(c.slot_range >> 16);
             if (hi <= lo) continue;  // cell never written
             const int procs = cfg_procs[cbase + b];
             const int replicas = cfg_replicas[cbase + b];
             const int rank = rank_of_slot[static_cast<std::size_t>(
                 slot_of[static_cast<std::size_t>(procs)])];
-            const double* vrow =
-                s.value.data() + cell * static_cast<std::size_t>(slot_pitch);
+            // The written lanes [lo, hi), from lane lo.
+            const double* written = s.value.data() +
+                static_cast<std::uint32_t>(c.lane_base +
+                                           static_cast<std::uint32_t>(lo));
 
             // Dominance prune: the best completion through (pu, b, *) is
             // at least the cheapest incoming value combined with this
@@ -977,9 +1082,9 @@ DpSolution RunChainDp(const DpProblem& problem) {
             // optimum. With capture on, the prune is disabled (the tables
             // must stay complete); the extra writes can never displace the
             // optimum — see the capture comment above. The min over the
-            // initialized lanes equals the min over the whole conceptual
-            // row: uninitialized lanes are +inf by definition.
-            const double v_min = simd::RowMin(vrow + lo, hi - lo);
+            // written lanes equals the min over the whole conceptual row:
+            // unwritten lanes are +inf by definition.
+            const double v_min = simd::RowMin(written, hi - lo);
             const double body = body_of_rank[static_cast<std::size_t>(rank)];
             const double cell_bound =
                 path_sum ? v_min + body
@@ -998,7 +1103,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
                 in_body.data() + static_cast<std::size_t>(rank) * nslots;
             int n = 0;
             for (int slot = lo; slot < hi; ++slot) {
-              const double v = vrow[slot];
+              const double v = written[slot - lo];
               if (v == kInf) continue;
               ws.src_v[n] = v;
               ws.src_c[n] = in_body_row[slot];
@@ -1181,9 +1286,8 @@ DpSolution RunChainDp(const DpProblem& problem) {
       const ModuleConfig cfg = ctx.Cfg(first, j, b);
       reversed.push_back(ModuleAssignment{first, j, cfg.replicas, cfg.procs});
       const FlatStage& s = stage_at(j, len);
-      const std::uint32_t bp =
-          s.bp[cell_index(pu, b) * static_cast<std::size_t>(slot_pitch) +
-               slot];
+      const std::uint32_t bp = s.bp[s.cells[cell_index(pu, b)].lane_base +
+                                    static_cast<std::uint32_t>(slot)];
       const int l_prev = BpLen(bp);
       if (l_prev == 0) break;
       const int b_prev = BpBudget(bp);
@@ -1232,10 +1336,11 @@ DpSolution RunChainDp(const DpProblem& problem) {
     st.replicable = eval.replicable_table();
     st.suffix_min = suffix_min;
     st.slot_procs = slot_procs;
-    st.slot_pitch = slot_pitch;
     warm->sweep = std::move(sweep);
     ++warm->sweeps_captured;
     PIPEMAP_COUNTER_ADD("dp.sweeps_captured", 1);
+  } else if (CapacityBytes(grid) <= kMaxRetainedGridBytes) {
+    RetainedGrid() = std::move(sweep);
   }
   return solution;
 }

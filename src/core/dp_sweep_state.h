@@ -1,4 +1,4 @@
-// Captured DP sweep state for incremental re-solves.
+// DP stage tables, and their capture for incremental re-solves.
 //
 // A completed chain-DP sweep leaves behind per-stage value/backpointer
 // tables whose contents at stage (j, len) depend only on
@@ -15,19 +15,22 @@
 // stages, and a pruned-off write can never reach or tie the optimum; see
 // dp_engine.cpp).
 //
-// Dirtiness is detected by content, not identity: FNV-1a hashes of the
-// evaluator's tabulated cost rows (exec per task; icom row + ecom block
-// per edge) plus direct comparison of the small min-procs/replicable range
-// caches. This makes the state reusable across Evaluator instances — the
-// engine rebuilds its evaluator per request — as long as the machine size
-// and the clean prefix's cost content are unchanged. Only tabulated
-// evaluators can be fingerprinted; untabulated ones never capture.
+// Dirtiness is detected by content, not identity: the word-at-a-time
+// hashes of support/hash.h over the evaluator's tabulated cost rows (exec
+// per task; icom row + ecom block per edge) plus direct comparison of the
+// small min-procs/replicable range caches. This makes the state reusable
+// across Evaluator instances — the engine rebuilds its evaluator per
+// request — as long as the machine size and the clean prefix's cost
+// content are unchanged. Only tabulated evaluators can be fingerprinted;
+// untabulated ones never capture.
 //
 // Ownership: a DpSweepState hangs off WarmStartState::sweep and is checked
 // out exclusively by a solve (the solve detaches it, mutates the stage
 // tables in place during the incremental re-sweep, and re-attaches on
 // success). A solve that aborts — deadline expiry, infeasibility — leaves
-// the state detached, so a corrupt half-rebuilt grid is never reused.
+// the state detached, so a corrupt half-rebuilt grid is never reused. A
+// cold solve that does not capture hands its grid to the calling thread,
+// whose next cold solve reuses the buffers.
 #pragma once
 
 #include <atomic>
@@ -40,27 +43,42 @@
 
 namespace pipemap::detail {
 
-/// One DP stage as flat structure-of-arrays tables. States are indexed by
-/// ((pu * (cap+1) + b) * slot_pitch + slot): `pu` processors used, `b` the
-/// last module's budget, `slot` the rank of the previous module's
-/// per-instance processor count in the solve's slot universe (slot 0 is
-/// the no-predecessor marker). slot_pitch is padded to whole cache lines
-/// so workers sweeping different rows never share a line, and so the
-/// vector kernels can read full lanes (padding holds +inf).
+/// One (pu, b) cell of a stage: `pu` processors used, `b` the last
+/// module's budget.
+struct CellIndex {
+  /// Written lanes [lo, hi), packed lo | hi << 16; hi <= lo (0xffff) marks
+  /// an empty cell. Lanes in the cell's block but outside the range hold
+  /// +inf.
+  std::uint32_t slot_range;
+  /// Lane g of the cell lives at pool[lane_base + g], in uint32 arithmetic
+  /// (a block that starts at slot lo > 0 has lane_base = offset - lo).
+  std::uint32_t lane_base;
+};
+
+/// One DP stage (j, len), sized to its live states: a dense index of
+/// (cap+1)^2 cells at pu * (cap+1) + b, and pools of value and
+/// backpointer lanes that hold one block per cell that can be written. A
+/// lane is a `slot`: the rank of the previous module's per-instance
+/// processor count in the solve's slot universe (slot 0 is the
+/// no-predecessor marker).
+///
+/// A stage's pool is laid out by the solve that (re)builds it, before
+/// anything writes it. A destination cell (pu + b2, b2) of a stage whose
+/// first task is f > 0 is written only from source row pu of the stages
+/// (f - 1, *); those source cells are final before iteration f - 1
+/// starts, and each write lands in the slot of its source cell's
+/// configuration. So at the start of that iteration the engine gives
+/// every reachable destination cell one block spanning the slots of its
+/// source row's live cells, grouped by source row so workers sweeping
+/// different rows write disjoint runs. Stages of the first module hold
+/// only seeds, one lane per (b, b) cell.
 struct FlatStage {
-  AlignedBuffer<double> value;
-  AlignedBuffer<std::uint32_t> bp;
-  /// Per-(pu, b) cell occupancy range, packed lo | hi << 16: slots in
-  /// [lo, hi) have been initialized (written once, or gap-filled with
-  /// +inf); lanes outside are uninitialized garbage and must never be
-  /// read. hi <= lo means the cell is empty. This is what lets a stage
-  /// skip clearing its O(cap^2 * slots) value/bp tables — only this
-  /// O(cap^2) array is reset — and lets the per-cell scans touch just the
-  /// handful of live lanes instead of the whole slot axis.
-  AlignedBuffer<std::uint32_t> slot_range;
-  /// row_live[pu] != 0 iff some (pu, b, slot) cell is finite. One cache
-  /// line per flag: the flags are written concurrently (relaxed stores of
-  /// 1) by workers sweeping different source rows.
+  std::vector<CellIndex> cells;
+  std::vector<double> value;      // +inf until written
+  std::vector<std::uint32_t> bp;  // read only at written lanes
+  /// row_live[pu] != 0 iff some (pu, b) cell is non-empty. One cache line
+  /// per flag: the flags are written concurrently (relaxed stores of 1)
+  /// by workers sweeping different source rows.
   std::vector<CacheLinePadded<std::atomic<char>>> row_live;
   bool allocated = false;
 };
@@ -87,9 +105,10 @@ struct DpSweepState {
 
   // The pp -> slot compression this capture's backpointers use.
   std::vector<int> slot_procs;  // ascending, slot_procs[0] == 0
-  int slot_pitch = 0;
 
   std::vector<FlatStage> stages;  // indexed j * k + (len - 1)
+  /// Index, row-flag and pool bytes of the allocated stages, as laid out
+  /// (what max_table_bytes bounds and dp.table_bytes reports).
   std::size_t allocated_bytes = 0;
 };
 

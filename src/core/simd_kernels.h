@@ -32,9 +32,8 @@ void PolyScalarRow(const double c[3], double* out, int max_p);
 void PolyPairRow(const double c[5], int sender_procs, double* out,
                  int max_pr);
 
-/// Minimum over x[0..n). n may include +inf padding lanes (the caller
-/// rounds flat-table rows up to a full cache line); returns +inf when all
-/// entries are +inf or n == 0.
+/// Minimum over x[0..n); returns +inf when all entries are +inf or
+/// n == 0.
 double RowMin(const double* x, int n);
 
 /// The DP transition kernel: folds one source state into the per-target

@@ -1,84 +1,16 @@
-// Cache-line-aligned storage helpers for the flat DP tables.
+// Cache-line padding for data that neighbouring workers write.
 //
-// The parallel stage sweeps partition contiguous arrays across workers;
-// false sharing at partition boundaries (and between per-worker
-// accumulator slots) costs real throughput at this problem shape. These
-// helpers give the hot arrays 64-byte alignment and provide a padded
-// per-worker slot template so adjacent workers never write the same line.
+// The parallel stage sweeps keep per-worker accumulators and per-row
+// flags that different workers update concurrently; false sharing between
+// adjacent slots costs real throughput at this problem shape. Padding each
+// slot to its own 64-byte line keeps those writes apart.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
-#include <utility>
 
 namespace pipemap {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
-
-/// Rounds `n` elements of size `elem` up so the span is a whole number of
-/// cache lines; used to pad row pitches in the flat DP tables.
-constexpr std::size_t PadToCacheLine(std::size_t n, std::size_t elem) {
-  const std::size_t per_line = kCacheLineBytes / elem;
-  return per_line == 0 ? n : (n + per_line - 1) / per_line * per_line;
-}
-
-/// A minimal 64-byte-aligned heap buffer of trivially-destructible T.
-/// Deliberately not a container: no construction/fill (callers memset or
-/// assign), no copy, just aligned storage with RAII.
-template <typename T>
-class AlignedBuffer {
- public:
-  AlignedBuffer() = default;
-  explicit AlignedBuffer(std::size_t n) { Reset(n); }
-  ~AlignedBuffer() { Release(); }
-
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-  AlignedBuffer(AlignedBuffer&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)) {}
-  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
-    if (this != &other) {
-      Release();
-      data_ = std::exchange(other.data_, nullptr);
-      size_ = std::exchange(other.size_, 0);
-    }
-    return *this;
-  }
-
-  /// Re-allocates to exactly `n` elements (contents undefined).
-  void Reset(std::size_t n) {
-    Release();
-    if (n == 0) return;
-    const std::size_t bytes =
-        (n * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
-        kCacheLineBytes;
-    data_ = static_cast<T*>(
-        ::operator new(bytes, std::align_val_t{kCacheLineBytes}));
-    size_ = n;
-  }
-
-  T* data() { return data_; }
-  const T* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-
- private:
-  void Release() {
-    if (data_ != nullptr) {
-      ::operator delete(data_, std::align_val_t{kCacheLineBytes});
-      data_ = nullptr;
-    }
-    size_ = 0;
-  }
-
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-};
 
 /// One T per worker, each on its own cache line, so concurrent updates to
 /// neighbouring slots never bounce a line between cores.

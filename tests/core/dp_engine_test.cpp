@@ -1,12 +1,19 @@
 // Unit tests for the shared DP engine internals (objectives, response
-// caps, and the latency configuration rule).
+// caps, the latency configuration rule, and the stage tables' layout).
 #include "core/dp_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <thread>
 
+#include "core/dp_mapper.h"
+#include "machine/feasible.h"
 #include "support/error.h"
+#include "support/metrics.h"
+#include "workloads/synthetic.h"
 #include "../test_util.h"
 
 namespace pipemap::detail {
@@ -318,6 +325,68 @@ TEST(DpEngineTest, WarmStartRebuildsWhenEvaluatorChanges) {
   problem.eval = &eval_b;
   EXPECT_FALSE(RunChainDp(problem).reused_tables);
   EXPECT_EQ(warm->tables_built, 2u);
+}
+
+/// A daemon-shaped cold solve: a synthetic k-task chain on P processors
+/// with clustering and the machine's processor-count predicate.
+struct ColdSolve {
+  std::string mapping;
+  double throughput = 0.0;
+  std::uint64_t work = 0;
+  std::uint64_t pruned_cells = 0;
+};
+
+ColdSolve SolveSynthetic(int num_tasks, int procs, std::uint64_t seed,
+                         int num_threads, bool observe = false) {
+  workloads::SyntheticSpec spec;
+  spec.num_tasks = num_tasks;
+  spec.machine_procs = procs;
+  const Workload w = workloads::MakeSynthetic(spec, seed);
+  const Evaluator eval(w.chain, procs, w.machine.node_memory_bytes);
+  MapperOptions options;
+  options.num_threads = num_threads;
+  options.observe = observe;
+  options.proc_feasible = FeasibilityChecker(w.machine).ProcCountPredicate();
+  const MapResult r = DpMapper(options).Map(eval, procs);
+  return {r.mapping.ToString(w.chain), r.throughput, r.work, r.pruned_cells};
+}
+
+TEST(DpEngineTest, LargeMachineSolvesUnderDefaultTableLimit) {
+  // Dense (P+1)^2 x slot tables put P=256 over the default
+  // max_table_bytes from k=6; tables sized to the live states fit.
+  const ColdSolve one = SolveSynthetic(10, 256, 2560, /*num_threads=*/1);
+  const ColdSolve four = SolveSynthetic(10, 256, 2560, /*num_threads=*/4);
+  EXPECT_EQ(one.mapping, four.mapping);
+  EXPECT_EQ(one.throughput, four.throughput);
+}
+
+TEST(DpEngineTest, ColdDpShapedTablesStaySmall) {
+  MetricsRegistry::Gauge* const table_bytes =
+      MetricsRegistry::Global().GetGauge("dp.table_bytes");
+  table_bytes->Set(0.0);
+  SolveSynthetic(10, 128, 901, /*num_threads=*/1, /*observe=*/true);
+  EXPECT_GT(table_bytes->Value(), 0.0);
+  EXPECT_LT(table_bytes->Value(), 64.0 * 1024 * 1024);
+}
+
+TEST(DpEngineTest, RecycledTablesNeverLeakIntoTheNextSolve) {
+  // This thread solves P=128, then P=32, then another P=128 chain, so the
+  // later solves lay out their stages in the earlier ones' buffers. Each
+  // must match the same solve on a fresh thread, which has none.
+  struct Case {
+    int procs;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{128, 7101}, Case{32, 7102}, Case{128, 7103}}) {
+    ColdSolve fresh;
+    std::thread([&] { fresh = SolveSynthetic(10, c.procs, c.seed, 1); })
+        .join();
+    const ColdSolve reused = SolveSynthetic(10, c.procs, c.seed, 1);
+    EXPECT_EQ(reused.mapping, fresh.mapping) << "P=" << c.procs;
+    EXPECT_EQ(reused.throughput, fresh.throughput) << "P=" << c.procs;
+    EXPECT_EQ(reused.work, fresh.work) << "P=" << c.procs;
+    EXPECT_EQ(reused.pruned_cells, fresh.pruned_cells) << "P=" << c.procs;
+  }
 }
 
 }  // namespace

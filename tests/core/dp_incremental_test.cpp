@@ -3,8 +3,9 @@
 // to a cold solve of the same perturbed chain — mapping, throughput, and
 // objective — and its provenance reports exactly which suffix was re-swept.
 // Randomized over synthetic chains and perturbation sites; also checks that
-// a prefix-dirty perturbation falls back to a full re-sweep and that the
-// combination with multi-threaded sweeps stays deterministic.
+// a prefix-dirty perturbation falls back to a full re-sweep, that the
+// combination with multi-threaded sweeps stays deterministic, and that
+// repeated re-solves do not grow the captured tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "core/dp_mapper.h"
+#include "core/dp_sweep_state.h"
 #include "core/evaluator.h"
 #include "core/warm_start.h"
 #include "costmodel/cost_function.h"
@@ -195,6 +197,45 @@ TEST(DpIncrementalTest, IncrementalMatchesColdAcrossThreadCounts) {
         << "seed " << seed;
     EXPECT_EQ(warm.throughput, cold.throughput) << "seed " << seed;
     EXPECT_TRUE(warm.used_sweep_prefix) << "seed " << seed;
+  }
+}
+
+TEST(DpIncrementalTest, RepeatedResolvesKeepTheCapturedTablesBounded) {
+  // Each re-solve re-lays out the rebuilt stages; their old pools must be
+  // released, not stacked on top of the new ones.
+  workloads::SyntheticSpec spec = SpecFor(2);
+  spec.machine_procs = 40;
+  const Workload w = workloads::MakeSynthetic(spec, 45000);
+  const int procs = spec.machine_procs;
+  const int k = w.chain.size();
+
+  MapperOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  options.warm = std::make_shared<WarmStartState>();
+  const DpMapper warm_mapper(options);
+  {
+    const Evaluator eval(w.chain, procs, w.machine.node_memory_bytes);
+    warm_mapper.Map(eval, procs);
+  }
+  ASSERT_NE(options.warm->sweep, nullptr);
+  const std::size_t first_bytes = options.warm->sweep->allocated_bytes;
+  EXPECT_GT(first_bytes, 0u);
+
+  for (int i = 1; i <= 20; ++i) {
+    const TaskChain perturbed = ScaleEdge(w.chain, k - 2, 1.0 + 0.02 * i);
+    const Evaluator peval(perturbed, procs, w.machine.node_memory_bytes);
+    const MapResult warm = warm_mapper.Map(peval, procs);
+    const MapResult cold =
+        SolveCold(perturbed, procs, w.machine.node_memory_bytes);
+    EXPECT_EQ(warm.mapping.ToString(perturbed),
+              cold.mapping.ToString(perturbed))
+        << "re-solve " << i;
+    EXPECT_EQ(warm.throughput, cold.throughput) << "re-solve " << i;
+    EXPECT_TRUE(warm.used_sweep_prefix) << "re-solve " << i;
+    ASSERT_NE(options.warm->sweep, nullptr);
+    EXPECT_LE(options.warm->sweep->allocated_bytes, first_bytes)
+        << "re-solve " << i;
   }
 }
 

@@ -8,6 +8,9 @@ Fails (exit 1) when:
     diverged from the cold solve (correctness — always enforced);
   * the single-thread wall time regressed more than the baseline's
     tolerance (default 20%) over its recorded wall time;
+  * any run's DP table bytes exceed the baseline's max_table_bytes. The
+    count is exact for the fixed chain, so this gate cannot flake; it
+    catches a return to dense stage tables;
   * the host has >= 4 usable cores and the non-oversubscribed 4-thread
     run's speedup is below the baseline's floor (default 2.5x).
 
@@ -58,6 +61,16 @@ def main() -> int:
         else:
             notes.append("single-thread wall %.3fs (limit %.3fs)"
                          % (single["wall_s"], limit))
+
+    max_table_bytes = baseline["max_table_bytes"]
+    oversized = [r for r in result.get("runs", [])
+                 if r.get("table_bytes", float("inf")) > max_table_bytes]
+    for run in oversized:
+        failures.append("table bytes at %d threads: %s > %.0f"
+                        % (run["threads"], run.get("table_bytes", "missing"),
+                           max_table_bytes))
+    if not oversized:
+        notes.append("DP table bytes within %.0f" % max_table_bytes)
 
     hardware_threads = result.get("hardware_threads", 1)
     four = runs.get(4)
