@@ -38,7 +38,7 @@ void FillPairRow(const PairCost& cost, int ps, double* row, int max_p) {
     simd::PolyPairRow(poly->coeffs().data(), ps, row, max_p);
     return;
   }
-  for (int pr = 1; pr <= max_p; ++pr) row[pr] = cost.Eval(ps, pr);
+  cost.EvalRow(ps, row, max_p);
 }
 
 }  // namespace

@@ -32,6 +32,16 @@ class PairCost {
   /// `receiver_procs` processors. Requires both >= 1.
   virtual double Eval(int sender_procs, int receiver_procs) const = 0;
 
+  /// Fills row[pr] = Eval(sender_procs, pr), bit for bit, for pr in [1,
+  /// max_receiver_procs]. Overrides share work across the row but must
+  /// keep Eval's expression and evaluation order.
+  virtual void EvalRow(int sender_procs, double* row,
+                       int max_receiver_procs) const {
+    for (int pr = 1; pr <= max_receiver_procs; ++pr) {
+      row[pr] = Eval(sender_procs, pr);
+    }
+  }
+
   virtual std::unique_ptr<PairCost> Clone() const = 0;
 };
 

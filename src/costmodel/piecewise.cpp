@@ -22,6 +22,16 @@ std::pair<std::size_t, double> Bracket(const std::vector<int>& axis, int x) {
   return {lo, t};
 }
 
+/// Bilinear blend of grid rows r0, r1 (weight st) at receiver cell ri
+/// (weight rt). Eval and EvalRow share it, so they agree bit for bit.
+double Blend(const double* r0, const double* r1, double st, std::size_t ri,
+             double rt) {
+  const std::size_t ri2 = rt > 0.0 ? ri + 1 : ri;
+  const double v0 = (1.0 - rt) * r0[ri] + rt * r0[ri2];
+  const double v1 = (1.0 - rt) * r1[ri] + rt * r1[ri2];
+  return (1.0 - st) * v0 + st * v1;
+}
+
 }  // namespace
 
 TabulatedScalarCost::TabulatedScalarCost(
@@ -116,29 +126,41 @@ TabulatedPairCost::TabulatedPairCost(std::vector<Sample> samples) {
   }
 }
 
-double TabulatedPairCost::CellValue(std::size_t si, std::size_t ri) const {
-  return grid_[si * receiver_axis_.size() + ri];
-}
-
 double TabulatedPairCost::Eval(int sender_procs, int receiver_procs) const {
   PIPEMAP_CHECK(sender_procs >= 1 && receiver_procs >= 1,
                 "TabulatedPairCost: processor counts must be >= 1");
   const auto [si, st] = Bracket(sender_axis_, sender_procs);
   const auto [ri, rt] = Bracket(receiver_axis_, receiver_procs);
-  const std::size_t si2 = st > 0.0 ? si + 1 : si;
-  const std::size_t ri2 = rt > 0.0 ? ri + 1 : ri;
-  const double v00 = CellValue(si, ri);
-  const double v01 = CellValue(si, ri2);
-  const double v10 = CellValue(si2, ri);
-  const double v11 = CellValue(si2, ri2);
-  const double v0 = (1.0 - rt) * v00 + rt * v01;
-  const double v1 = (1.0 - rt) * v10 + rt * v11;
-  return (1.0 - st) * v0 + st * v1;
+  const std::size_t nr = receiver_axis_.size();
+  return Blend(&grid_[si * nr], &grid_[(st > 0.0 ? si + 1 : si) * nr], st, ri,
+               rt);
+}
+
+void TabulatedPairCost::EvalRow(int sender_procs, double* row,
+                                int max_receiver_procs) const {
+  PIPEMAP_CHECK(sender_procs >= 1,
+                "TabulatedPairCost: processor counts must be >= 1");
+  const auto [si, st] = Bracket(sender_axis_, sender_procs);
+  const std::vector<int>& axis = receiver_axis_;
+  const double* r0 = &grid_[si * axis.size()];
+  const double* r1 = &grid_[(st > 0.0 ? si + 1 : si) * axis.size()];
+  // Bracket(axis, pr) for rising pr: `hi`, its upper_bound, only moves
+  // forward, so a row costs one pass over the axis.
+  std::size_t hi = 0;
+  for (int pr = 1; pr <= max_receiver_procs; ++pr) {
+    while (hi < axis.size() && axis[hi] <= pr) ++hi;
+    if (hi == 0 || hi == axis.size()) {  // clamped below or above the axis
+      row[pr] = Blend(r0, r1, st, hi == 0 ? 0 : hi - 1, 0.0);
+    } else {
+      const double rt = static_cast<double>(pr - axis[hi - 1]) /
+                        static_cast<double>(axis[hi] - axis[hi - 1]);
+      row[pr] = Blend(r0, r1, st, hi - 1, rt);
+    }
+  }
 }
 
 std::unique_ptr<PairCost> TabulatedPairCost::Clone() const {
-  auto copy = std::make_unique<TabulatedPairCost>(*this);
-  return copy;
+  return std::make_unique<TabulatedPairCost>(*this);
 }
 
 }  // namespace pipemap

@@ -49,11 +49,18 @@ class TabulatedPairCost final : public PairCost {
   explicit TabulatedPairCost(std::vector<Sample> samples);
 
   double Eval(int sender_procs, int receiver_procs) const override;
+  /// One sender bracket per row and one pass over the receiver axis.
+  void EvalRow(int sender_procs, double* row,
+               int max_receiver_procs) const override;
   std::unique_ptr<PairCost> Clone() const override;
 
- private:
-  double CellValue(std::size_t si, std::size_t ri) const;
+  /// The filled grid, cell (si, ri) at grid()[si * receiver_axis().size()
+  /// + ri]; one sample per cell rebuilds it exactly.
+  const std::vector<int>& sender_axis() const { return sender_axis_; }
+  const std::vector<int>& receiver_axis() const { return receiver_axis_; }
+  const std::vector<double>& grid() const { return grid_; }
 
+ private:
   std::vector<int> sender_axis_;    // sorted distinct sender counts
   std::vector<int> receiver_axis_;  // sorted distinct receiver counts
   std::vector<double> grid_;        // row-major [sender][receiver]

@@ -50,6 +50,33 @@ const char* ToString(SolverPolicy policy) {
   return "unknown";
 }
 
+void ApplySolverPolicy(std::string_view objective, std::string_view algorithm,
+                       double floor, MapRequest* request) {
+  if (!std::isfinite(floor) || floor < 0.0) {
+    throw InvalidArgument("floor must be finite and >= 0");
+  }
+  if (objective == "latency") {
+    request->solver = SolverPolicy::kLatency;
+    request->objective = floor > 0.0 ? MapObjective::kLatencyWithFloor
+                                     : MapObjective::kLatency;
+    request->min_throughput = floor;
+    return;
+  }
+  if (objective != "throughput") {
+    throw InvalidArgument("unknown objective: " + std::string(objective));
+  }
+  request->objective = MapObjective::kThroughput;
+  for (const SolverPolicy policy :
+       {SolverPolicy::kDp, SolverPolicy::kGreedy, SolverPolicy::kAuto,
+        SolverPolicy::kBrute}) {
+    if (algorithm == ToString(policy)) {
+      request->solver = policy;
+      return;
+    }
+  }
+  throw InvalidArgument("unknown algorithm: " + std::string(algorithm));
+}
+
 namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {

@@ -49,6 +49,7 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -133,6 +134,14 @@ struct MapRequest {
   /// explicitly supplied options.deadline takes precedence.
   double time_budget_s = 0.0;
 };
+
+/// Sets `request`'s objective, floor and solver from the objective,
+/// algorithm and floor that the CLI and the protocol take. "latency" runs
+/// the latency DP, floored when `floor` > 0 (0 is no floor: the wire
+/// cannot tell 0 from absent); "throughput" takes dp|greedy|auto|brute.
+/// InvalidArgument on an unknown name or a negative or non-finite floor.
+void ApplySolverPolicy(std::string_view objective, std::string_view algorithm,
+                       double floor, MapRequest* request);
 
 /// A solved mapping plus provenance.
 struct MapResponse {

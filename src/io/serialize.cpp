@@ -4,12 +4,14 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "costmodel/piecewise.h"
 #include "costmodel/poly.h"
 #include "support/error.h"
+#include "support/parse.h"
 
 namespace pipemap {
 namespace {
@@ -21,19 +23,10 @@ std::string Num(double v) {
   return os.str();
 }
 
-/// Upper bound on any parsed sample/element count. Parsers reserve() what the
+/// Upper bound on any parsed sample/element count. Parsers allocate what the
 /// count line promises, so an unvalidated count is an allocation bomb; no
 /// legitimate workload comes close to this.
 constexpr std::size_t kMaxParsedSamples = 1u << 20;
-
-/// Boundary validation (fault containment): malformed inputs must die here
-/// with the offending line in the message, not surface later as NaN
-/// throughputs or UB inside the solvers.
-void CheckFinite(double v, const std::string& what,
-                 const std::string& context) {
-  PIPEMAP_CHECK(std::isfinite(v),
-                "parse: non-finite " + what + " in " + context);
-}
 
 /// Grid of processor counts used when sampling a callback pair cost.
 /// Dense for small counts, where the 1/p structure of communication costs
@@ -82,96 +75,138 @@ void WritePair(std::ostream& os, const std::string& prefix,
     os << "\n";
     return;
   }
-  // Tabulated or arbitrary: sample the grid. (TabulatedPairCost does not
-  // expose its grid; re-sampling it reproduces its values on the grid.)
-  const std::vector<int> axis = SampleAxis(max_procs);
-  os << prefix << " tab " << axis.size() * axis.size();
-  for (int ps : axis) {
-    for (int pr : axis) {
-      os << " " << ps << " " << pr << " " << Num(fn.Eval(ps, pr));
+  // A tabulated cost is written as its grid, cell for cell, which parses
+  // back to the same axes and grid; any other function is sampled on
+  // SampleAxis.
+  const auto* tab = dynamic_cast<const TabulatedPairCost*>(&fn);
+  const bool exact = tab != nullptr && tab->grid().size() <= kMaxParsedSamples;
+  const std::vector<int> axis =
+      exact ? std::vector<int>() : SampleAxis(max_procs);
+  const std::vector<int>& senders = exact ? tab->sender_axis() : axis;
+  const std::vector<int>& receivers = exact ? tab->receiver_axis() : axis;
+  os << prefix << " tab " << senders.size() * receivers.size();
+  for (std::size_t si = 0; si < senders.size(); ++si) {
+    for (std::size_t ri = 0; ri < receivers.size(); ++ri) {
+      const double v = exact ? tab->grid()[si * receivers.size() + ri]
+                             : fn.Eval(senders[si], receivers[ri]);
+      os << " " << senders[si] << " " << receivers[ri] << " " << Num(v);
     }
   }
   os << "\n";
 }
 
-std::unique_ptr<ScalarCost> ReadScalar(std::istringstream& in,
+/// Whitespace as operator>> skips it in the C locale: ' ' and \t..\r.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// One pass over a document, copying nothing. NextLine() steps to the next
+/// line that is neither empty nor a '#' comment; Token() and Read() take
+/// its whitespace-separated tokens in order (the rest of a line is
+/// ignored), numbers whole through support/parse.
+class Cursor {
+ public:
+  explicit Cursor(std::string_view text) : rest_(text) {}
+
+  bool NextLine() {
+    while (!rest_.empty()) {
+      const std::size_t end = std::min(rest_.find('\n'), rest_.size());
+      line_ = unread_ = rest_.substr(0, end);
+      rest_.remove_prefix(std::min(end + 1, rest_.size()));
+      if (!line_.empty() && line_.front() != '#') return true;
+    }
+    return false;
+  }
+
+  std::string_view line() const { return line_; }
+
+  /// The next token of the line; empty once the line is used up.
+  std::string_view Token() {
+    std::size_t begin = 0;
+    while (begin < unread_.size() && IsSpace(unread_[begin])) ++begin;
+    std::size_t end = begin;
+    while (end < unread_.size() && !IsSpace(unread_[end])) ++end;
+    const std::string_view token = unread_.substr(begin, end - begin);
+    unread_.remove_prefix(end);
+    return token;
+  }
+
+  bool Expect(std::string_view keyword) { return Token() == keyword; }
+
+  /// Each reads the next token; false, with `out` untouched, when it is
+  /// missing or does not parse whole.
+  bool Read(std::string_view& out) { return !(out = Token()).empty(); }
+  bool Read(int& out) { return Store(TryParseInt(Token()), out); }
+  bool Read(double& out) { return Store(TryParseDouble(Token()), out); }
+
+ private:
+  template <typename T>
+  static bool Store(const std::optional<T>& v, T& out) {
+    if (v) out = *v;
+    return v.has_value();
+  }
+
+  std::string_view rest_;    // the text after the current line
+  std::string_view line_;    // the current line
+  std::string_view unread_;  // its tokens not read yet
+};
+
+/// Reads a sample count in [1, kMaxParsedSamples].
+bool ReadCount(Cursor& in, int& n) {
+  return in.Read(n) && n >= 1 &&
+         static_cast<std::size_t>(n) <= kMaxParsedSamples;
+}
+
+std::unique_ptr<ScalarCost> ReadScalar(Cursor& in,
                                        const std::string& context) {
-  std::string kind;
-  PIPEMAP_CHECK(static_cast<bool>(in >> kind),
+  const std::string_view kind = in.Token();
+  PIPEMAP_CHECK(!kind.empty(),
                 "chain parse: missing scalar kind in " + context);
   if (kind == "poly") {
     double c1 = 0, c2 = 0, c3 = 0;
-    PIPEMAP_CHECK(static_cast<bool>(in >> c1 >> c2 >> c3),
+    PIPEMAP_CHECK(in.Read(c1) && in.Read(c2) && in.Read(c3),
                   "chain parse: bad poly coefficients in " + context);
-    CheckFinite(c1, "poly coefficient", context);
-    CheckFinite(c2, "poly coefficient", context);
-    CheckFinite(c3, "poly coefficient", context);
     return std::make_unique<PolyScalarCost>(c1, c2, c3);
   }
   if (kind == "tab") {
-    std::size_t n = 0;
-    PIPEMAP_CHECK(static_cast<bool>(in >> n) && n >= 1 &&
-                      n <= kMaxParsedSamples,
+    int n = 0;
+    PIPEMAP_CHECK(ReadCount(in, n),
                   "chain parse: bad sample count in " + context);
-    std::vector<std::pair<int, double>> samples;
-    samples.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      int p = 0;
-      double t = 0;
-      PIPEMAP_CHECK(static_cast<bool>(in >> p >> t) && p >= 1,
+    std::vector<std::pair<int, double>> samples(n);
+    for (auto& [p, t] : samples) {
+      PIPEMAP_CHECK(in.Read(p) && in.Read(t) && p >= 1,
                     "chain parse: bad sample in " + context);
-      CheckFinite(t, "sample cost", context);
-      samples.emplace_back(p, t);
     }
     return std::make_unique<TabulatedScalarCost>(std::move(samples));
   }
-  throw InvalidArgument("chain parse: unknown scalar kind '" + kind +
-                        "' in " + context);
+  throw InvalidArgument("chain parse: unknown scalar kind '" +
+                        std::string(kind) + "' in " + context);
 }
 
-std::unique_ptr<PairCost> ReadPair(std::istringstream& in,
-                                   const std::string& context) {
-  std::string kind;
-  PIPEMAP_CHECK(static_cast<bool>(in >> kind),
-                "chain parse: missing pair kind in " + context);
+std::unique_ptr<PairCost> ReadPair(Cursor& in, const std::string& context) {
+  const std::string_view kind = in.Token();
+  PIPEMAP_CHECK(!kind.empty(), "chain parse: missing pair kind in " + context);
   if (kind == "poly") {
     std::array<double, 5> c{};
     for (double& v : c) {
-      PIPEMAP_CHECK(static_cast<bool>(in >> v),
+      PIPEMAP_CHECK(in.Read(v),
                     "chain parse: bad poly coefficients in " + context);
-      CheckFinite(v, "poly coefficient", context);
     }
     return std::make_unique<PolyPairCost>(c);
   }
   if (kind == "tab") {
-    std::size_t n = 0;
-    PIPEMAP_CHECK(static_cast<bool>(in >> n) && n >= 1 &&
-                      n <= kMaxParsedSamples,
+    int n = 0;
+    PIPEMAP_CHECK(ReadCount(in, n),
                   "chain parse: bad sample count in " + context);
-    std::vector<TabulatedPairCost::Sample> samples;
-    samples.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TabulatedPairCost::Sample s{};
-      PIPEMAP_CHECK(
-          static_cast<bool>(in >> s.sender_procs >> s.receiver_procs >>
-                            s.seconds) &&
-              s.sender_procs >= 1 && s.receiver_procs >= 1,
-          "chain parse: bad sample in " + context);
-      CheckFinite(s.seconds, "sample cost", context);
-      samples.push_back(s);
+    std::vector<TabulatedPairCost::Sample> samples(n);
+    for (TabulatedPairCost::Sample& s : samples) {
+      PIPEMAP_CHECK(in.Read(s.sender_procs) && in.Read(s.receiver_procs) &&
+                        in.Read(s.seconds) && s.sender_procs >= 1 &&
+                        s.receiver_procs >= 1,
+                    "chain parse: bad sample in " + context);
     }
     return std::make_unique<TabulatedPairCost>(std::move(samples));
   }
-  throw InvalidArgument("chain parse: unknown pair kind '" + kind + "' in " +
-                        context);
-}
-
-/// Reads the next non-empty, non-comment line.
-bool NextLine(std::istringstream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') return true;
-  }
-  return false;
+  throw InvalidArgument("chain parse: unknown pair kind '" +
+                        std::string(kind) + "' in " + context);
 }
 
 }  // namespace
@@ -199,22 +234,17 @@ std::string SerializeChain(const TaskChain& chain, int max_procs) {
   return os.str();
 }
 
-TaskChain ParseChain(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  PIPEMAP_CHECK(NextLine(in, line) && line == "pipemap-chain v1",
+TaskChain ParseChain(std::string_view text) {
+  Cursor in(text);
+  PIPEMAP_CHECK(in.NextLine() && in.line() == "pipemap-chain v1",
                 "chain parse: bad header");
-  PIPEMAP_CHECK(NextLine(in, line), "chain parse: missing size line");
+  PIPEMAP_CHECK(in.NextLine(), "chain parse: missing size line");
   int k = 0, max_procs = 0;
-  {
-    std::istringstream ls(line);
-    std::string kw1, kw2;
-    PIPEMAP_CHECK(static_cast<bool>(ls >> kw1 >> k >> kw2 >> max_procs) &&
-                      kw1 == "tasks" && kw2 == "max_procs" && k >= 1 &&
-                      static_cast<std::size_t>(k) <= kMaxParsedSamples &&
-                      max_procs >= 1,
-                  "chain parse: bad size line: " + line);
-  }
+  PIPEMAP_CHECK(in.Expect("tasks") && in.Read(k) && in.Expect("max_procs") &&
+                    in.Read(max_procs) && k >= 1 &&
+                    static_cast<std::size_t>(k) <= kMaxParsedSamples &&
+                    max_procs >= 1,
+                "chain parse: bad size line: " + std::string(in.line()));
 
   std::vector<Task> tasks(k);
   std::vector<MemorySpec> memory(k);
@@ -222,41 +252,38 @@ TaskChain ParseChain(const std::string& text) {
   std::vector<std::unique_ptr<ScalarCost>> icom(std::max(0, k - 1));
   std::vector<std::unique_ptr<PairCost>> ecom(std::max(0, k - 1));
 
-  while (NextLine(in, line) && line != "end") {
-    std::istringstream ls(line);
-    std::string kw;
-    ls >> kw;
+  while (in.NextLine() && in.line() != "end") {
+    const std::string_view kw = in.Token();
     if (kw == "task") {
       int t = 0, replicable = 0;
-      std::string kw_r, kw_f, kw_d, kw_n, name;
       double fixed = 0, dist = 0;
-      PIPEMAP_CHECK(
-          static_cast<bool>(ls >> t >> kw_r >> replicable >> kw_f >> fixed >>
-                            kw_d >> dist >> kw_n >> name) &&
-              kw_r == "replicable" && kw_f == "mem_fixed" &&
-              kw_d == "mem_dist" && kw_n == "name" && t >= 0 && t < k &&
-              std::isfinite(fixed) && fixed >= 0 && std::isfinite(dist) &&
-              dist >= 0,
-          "chain parse: bad task line: " + line);
-      tasks[t] = Task{name, replicable != 0};
+      std::string_view name;
+      PIPEMAP_CHECK(in.Read(t) && in.Expect("replicable") &&
+                        in.Read(replicable) && in.Expect("mem_fixed") &&
+                        in.Read(fixed) && in.Expect("mem_dist") &&
+                        in.Read(dist) && in.Expect("name") && in.Read(name) &&
+                        t >= 0 && t < k && fixed >= 0 && dist >= 0,
+                    "chain parse: bad task line: " + std::string(in.line()));
+      tasks[t] = Task{std::string(name), replicable != 0};
       memory[t] = MemorySpec{fixed, dist};
     } else if (kw == "exec") {
       int t = 0;
-      PIPEMAP_CHECK(static_cast<bool>(ls >> t) && t >= 0 && t < k,
+      PIPEMAP_CHECK(in.Read(t) && t >= 0 && t < k,
                     "chain parse: bad exec index");
-      exec[t] = ReadScalar(ls, "exec " + std::to_string(t));
+      exec[t] = ReadScalar(in, "exec " + std::to_string(t));
     } else if (kw == "icom") {
       int e = 0;
-      PIPEMAP_CHECK(static_cast<bool>(ls >> e) && e >= 0 && e < k - 1,
+      PIPEMAP_CHECK(in.Read(e) && e >= 0 && e < k - 1,
                     "chain parse: bad icom index");
-      icom[e] = ReadScalar(ls, "icom " + std::to_string(e));
+      icom[e] = ReadScalar(in, "icom " + std::to_string(e));
     } else if (kw == "ecom") {
       int e = 0;
-      PIPEMAP_CHECK(static_cast<bool>(ls >> e) && e >= 0 && e < k - 1,
+      PIPEMAP_CHECK(in.Read(e) && e >= 0 && e < k - 1,
                     "chain parse: bad ecom index");
-      ecom[e] = ReadPair(ls, "ecom " + std::to_string(e));
+      ecom[e] = ReadPair(in, "ecom " + std::to_string(e));
     } else {
-      throw InvalidArgument("chain parse: unknown line: " + line);
+      throw InvalidArgument("chain parse: unknown line: " +
+                            std::string(in.line()));
     }
   }
 
@@ -286,31 +313,23 @@ std::string SerializeMapping(const Mapping& mapping) {
   return os.str();
 }
 
-Mapping ParseMapping(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  PIPEMAP_CHECK(NextLine(in, line) && line == "pipemap-mapping v1",
+Mapping ParseMapping(std::string_view text) {
+  Cursor in(text);
+  PIPEMAP_CHECK(in.NextLine() && in.line() == "pipemap-mapping v1",
                 "mapping parse: bad header");
-  PIPEMAP_CHECK(NextLine(in, line), "mapping parse: missing modules line");
+  PIPEMAP_CHECK(in.NextLine(), "mapping parse: missing modules line");
   int count = 0;
-  {
-    std::istringstream ls(line);
-    std::string kw;
-    PIPEMAP_CHECK(static_cast<bool>(ls >> kw >> count) && kw == "modules" &&
-                      count >= 0,
-                  "mapping parse: bad modules line");
-  }
+  PIPEMAP_CHECK(in.Expect("modules") && in.Read(count) && count >= 0,
+                "mapping parse: bad modules line");
   Mapping mapping;
-  while (NextLine(in, line) && line != "end") {
-    std::istringstream ls(line);
-    std::string kw;
+  while (in.NextLine() && in.line() != "end") {
     ModuleAssignment m;
-    PIPEMAP_CHECK(static_cast<bool>(ls >> kw >> m.first_task >> m.last_task >>
-                                    m.replicas >> m.procs_per_instance) &&
-                      kw == "module" && m.first_task >= 0 &&
+    PIPEMAP_CHECK(in.Expect("module") && in.Read(m.first_task) &&
+                      in.Read(m.last_task) && in.Read(m.replicas) &&
+                      in.Read(m.procs_per_instance) && m.first_task >= 0 &&
                       m.last_task >= m.first_task && m.replicas >= 1 &&
                       m.procs_per_instance >= 1,
-                  "mapping parse: bad module line: " + line);
+                  "mapping parse: bad module line: " + std::string(in.line()));
     mapping.modules.push_back(m);
   }
   PIPEMAP_CHECK(mapping.num_modules() == count,
@@ -337,47 +356,45 @@ std::string SerializeMachine(const MachineConfig& machine) {
   return os.str();
 }
 
-MachineConfig ParseMachine(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  PIPEMAP_CHECK(NextLine(in, line) && line == "pipemap-machine v1",
+MachineConfig ParseMachine(std::string_view text) {
+  Cursor in(text);
+  PIPEMAP_CHECK(in.NextLine() && in.line() == "pipemap-machine v1",
                 "machine parse: bad header");
   MachineConfig machine;
-  while (NextLine(in, line) && line != "end") {
-    std::istringstream ls(line);
-    std::string kw;
-    ls >> kw;
+  while (in.NextLine() && in.line() != "end") {
+    const std::string_view kw = in.Token();
     bool ok = true;
     if (kw == "name") {
-      ok = static_cast<bool>(ls >> machine.name);
+      std::string_view name;
+      ok = in.Read(name);
+      machine.name = name;
     } else if (kw == "grid") {
-      ok = static_cast<bool>(ls >> machine.grid_rows >> machine.grid_cols);
+      ok = in.Read(machine.grid_rows) && in.Read(machine.grid_cols);
     } else if (kw == "node_memory_bytes") {
-      ok = static_cast<bool>(ls >> machine.node_memory_bytes);
+      ok = in.Read(machine.node_memory_bytes);
     } else if (kw == "comm_mode") {
-      std::string mode;
-      ok = static_cast<bool>(ls >> mode) &&
-           (mode == "systolic" || mode == "message");
-      if (ok) {
-        machine.comm_mode =
-            mode == "systolic" ? CommMode::kSystolic : CommMode::kMessage;
-      }
+      const std::string_view mode = in.Token();
+      ok = mode == "systolic" || mode == "message";
+      machine.comm_mode =
+          mode == "systolic" ? CommMode::kSystolic : CommMode::kMessage;
     } else if (kw == "node_flops") {
-      ok = static_cast<bool>(ls >> machine.node_flops);
+      ok = in.Read(machine.node_flops);
     } else if (kw == "msg_overhead_s") {
-      ok = static_cast<bool>(ls >> machine.msg_overhead_s);
+      ok = in.Read(machine.msg_overhead_s);
     } else if (kw == "transfer_startup_s") {
-      ok = static_cast<bool>(ls >> machine.transfer_startup_s);
+      ok = in.Read(machine.transfer_startup_s);
     } else if (kw == "node_bandwidth") {
-      ok = static_cast<bool>(ls >> machine.node_bandwidth);
+      ok = in.Read(machine.node_bandwidth);
     } else if (kw == "sync_per_proc_s") {
-      ok = static_cast<bool>(ls >> machine.sync_per_proc_s);
+      ok = in.Read(machine.sync_per_proc_s);
     } else if (kw == "pathways_per_link") {
-      ok = static_cast<bool>(ls >> machine.pathways_per_link);
+      ok = in.Read(machine.pathways_per_link);
     } else {
-      throw InvalidArgument("machine parse: unknown key '" + kw + "'");
+      throw InvalidArgument("machine parse: unknown key '" + std::string(kw) +
+                            "'");
     }
-    PIPEMAP_CHECK(ok, "machine parse: bad value in line: " + line);
+    PIPEMAP_CHECK(ok, "machine parse: bad value in line: " +
+                          std::string(in.line()));
   }
   // Reject configurations the solvers would turn into NaN throughputs or
   // division-by-zero: every rate must be finite and positive, every

@@ -14,6 +14,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/mapping.h"
 #include "core/task.h"
@@ -22,26 +23,27 @@
 namespace pipemap {
 
 /// Serializes `chain` (tasks, replicability, memory, cost model).
-/// Non-polynomial, non-tabulated cost functions are sampled at processor
-/// counts 1..max_procs (pair costs on a grid subsampled to at most 16
-/// points per axis).
+/// Polynomial and tabulated cost functions are written exactly (a
+/// tabulated pair cost as its filled grid). Callback cost functions are
+/// sampled at processor counts 1..max_procs (pair costs on a grid that is
+/// dense to 16 and then takes eight strides up to max_procs).
 std::string SerializeChain(const TaskChain& chain, int max_procs);
 
 /// Parses a chain serialized by SerializeChain. Throws
 /// pipemap::InvalidArgument on malformed input.
-TaskChain ParseChain(const std::string& text);
+TaskChain ParseChain(std::string_view text);
 
 /// Serializes a mapping.
 std::string SerializeMapping(const Mapping& mapping);
 
 /// Parses a mapping serialized by SerializeMapping.
-Mapping ParseMapping(const std::string& text);
+Mapping ParseMapping(std::string_view text);
 
 /// Serializes a machine configuration.
 std::string SerializeMachine(const MachineConfig& machine);
 
 /// Parses a machine configuration.
-MachineConfig ParseMachine(const std::string& text);
+MachineConfig ParseMachine(std::string_view text);
 
 /// File helpers; throw pipemap::InvalidArgument on I/O failure.
 void WriteTextFile(const std::string& path, const std::string& content);

@@ -54,36 +54,6 @@ std::string ErrorJson(std::string_view code, std::string_view detail,
   return w.str();
 }
 
-/// Solver policy and objective fields, mirroring the CLI's --algorithm /
-/// --objective / --floor mapping.
-void ApplyPolicy(const ServerRequest& req, MapRequest* out) {
-  if (req.objective == "latency") {
-    out->solver = SolverPolicy::kLatency;
-    if (req.floor > 0.0) {
-      out->objective = MapObjective::kLatencyWithFloor;
-      out->min_throughput = req.floor;
-    } else {
-      out->objective = MapObjective::kLatency;
-    }
-    return;
-  }
-  if (req.objective != "throughput") {
-    throw InvalidArgument("unknown objective: " + req.objective);
-  }
-  out->objective = MapObjective::kThroughput;
-  if (req.algorithm == "dp") {
-    out->solver = SolverPolicy::kDp;
-  } else if (req.algorithm == "greedy") {
-    out->solver = SolverPolicy::kGreedy;
-  } else if (req.algorithm == "auto") {
-    out->solver = SolverPolicy::kAuto;
-  } else if (req.algorithm == "brute") {
-    out->solver = SolverPolicy::kBrute;
-  } else {
-    throw InvalidArgument("unknown algorithm: " + req.algorithm);
-  }
-}
-
 /// The `overloaded` error document: same shape as ErrorJson plus the
 /// backpressure hint, so a well-behaved client backs off instead of
 /// hammering a shedding server.
@@ -736,7 +706,7 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   mr.use_cache = request.use_cache;
   mr.time_budget_s = budget_s;  // 0 = no deadline (Deadline::HasBudget)
   mr.trace_id = request.trace_id;
-  ApplyPolicy(request, &mr);
+  ApplySolverPolicy(request.objective, request.algorithm, request.floor, &mr);
   if (outcome->degraded) ApplyBrownout(&mr);
 
   // One Evaluator per request: the engine keys and solves with it, and
@@ -826,7 +796,7 @@ std::string PipemapServer::HandleReport(const ServerRequest& request,
   mr.use_cache = request.use_cache;
   mr.time_budget_s = budget_s;
   mr.trace_id = request.trace_id;
-  ApplyPolicy(request, &mr);
+  ApplySolverPolicy(request.objective, request.algorithm, request.floor, &mr);
   if (outcome->degraded) ApplyBrownout(&mr);
 
   // One Evaluator per request: the engine keys and solves with it, and

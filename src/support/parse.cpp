@@ -1,46 +1,38 @@
 #include "support/parse.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace pipemap {
 
 namespace {
 
-/// stoi/stod silently skip leading whitespace; whole-token parsing must
-/// not.
-bool LeadingSpace(std::string_view text) {
-  return !text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.front())) != 0;
+/// std::from_chars over the whole token. It takes no '+', so one leading
+/// '+' is stripped first ("+7"), but not before a '-' ("+-7"); leading
+/// whitespace is refused like any other non-numeric byte.
+template <typename T>
+std::optional<T> WholeToken(std::string_view text) {
+  if (!text.empty() && text.front() == '+') {
+    text.remove_prefix(1);
+    if (!text.empty() && text.front() == '-') return std::nullopt;
+  }
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
 }
 
 }  // namespace
 
 std::optional<int> TryParseInt(std::string_view text) {
-  if (text.empty() || LeadingSpace(text)) return std::nullopt;
-  try {
-    const std::string token(text);
-    std::size_t idx = 0;
-    const int v = std::stoi(token, &idx);
-    if (idx == token.size()) return v;
-  } catch (const std::exception&) {
-    // invalid_argument or out_of_range: fall through to nullopt.
-  }
-  return std::nullopt;
+  return WholeToken<int>(text);
 }
 
 std::optional<double> TryParseDouble(std::string_view text) {
-  if (text.empty() || LeadingSpace(text)) return std::nullopt;
-  try {
-    const std::string token(text);
-    std::size_t idx = 0;
-    const double v = std::stod(token, &idx);
-    if (idx == token.size() && std::isfinite(v)) return v;
-  } catch (const std::exception&) {
-  }
-  return std::nullopt;
+  const std::optional<double> v = WholeToken<double>(text);
+  if (v && !std::isfinite(*v)) return std::nullopt;
+  return v;
 }
 
 }  // namespace pipemap

@@ -160,6 +160,28 @@ TEST_F(CliWorkflow, LatencyObjectiveWithFloor) {
   EXPECT_NE(output.find("throughput >= 40"), std::string::npos);
 }
 
+TEST_F(CliWorkflow, ZeroFloorMeansPlainLatency) {
+  // The server protocol cannot tell floor 0 from an absent floor, so the
+  // CLI reads --floor 0 the same way; a negative floor is a usage error.
+  std::string output;
+  ASSERT_EQ(RunCommand({"map", "--chain", chain_path_, "--machine",
+                        machine_path_, "--objective", "latency", "--floor",
+                        "0"},
+                       &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("minimum latency"), std::string::npos);
+  EXPECT_EQ(output.find("throughput >="), std::string::npos);
+
+  EXPECT_EQ(RunCommand({"map", "--chain", chain_path_, "--machine",
+                        machine_path_, "--objective", "latency", "--floor",
+                        "-1"},
+                       &output),
+            1);
+  EXPECT_NE(output.find("floor must be finite and >= 0"), std::string::npos);
+  EXPECT_NE(output.find("usage:"), std::string::npos);
+}
+
 TEST_F(CliWorkflow, DiagnoseReportsTheorems) {
   std::string output;
   ASSERT_EQ(RunCommand({"diagnose", "--chain", chain_path_, "--machine",

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/evaluator.h"
+#include "costmodel/piecewise.h"
+#include "costmodel/poly.h"
 #include "support/error.h"
+#include "support/rng.h"
 #include "workloads/fft_hist.h"
 #include "workloads/synthetic.h"
 #include "../test_util.h"
@@ -101,6 +109,104 @@ TEST(ChainSerializationTest, WhitespaceInTaskNameRejected) {
   costs.AddTask(std::make_unique<PolyScalarCost>(1, 0, 0), MemorySpec{});
   const TaskChain chain({Task{"two words"}}, std::move(costs));
   EXPECT_THROW(SerializeChain(chain, 4), InvalidArgument);
+}
+
+/// A 3-task chain whose f_ecom costs are scattered profiles, built like
+/// cache_identity_test's: sender and receiver points at 1, P and four
+/// draws in between, most of them off the axis SerializeChain samples
+/// callbacks on. Each grid also has one hole and one duplicated cell.
+TaskChain ScatteredPairChain(std::uint64_t seed, int max_procs) {
+  Rng rng(seed);
+  ChainCostModel costs;
+  std::vector<Task> tasks;
+  for (int t = 0; t < 3; ++t) {
+    costs.AddTask(std::make_unique<PolyScalarCost>(
+                      0.01, rng.Uniform(0.5, 4.0), 0.001),
+                  MemorySpec{});
+    tasks.push_back(Task{"t" + std::to_string(t), t != 1});
+  }
+  for (int e = 0; e < 2; ++e) {
+    const double f = rng.Uniform(0.0, 0.01);
+    const double s = rng.Uniform(0.0, 0.3);
+    const double r = rng.Uniform(0.0, 0.3);
+    std::vector<int> axis = {1, max_procs};
+    for (int i = 0; i < 4; ++i) axis.push_back(rng.UniformInt(2, max_procs));
+    std::vector<TabulatedPairCost::Sample> samples;
+    for (const int ps : axis) {
+      for (const int pr : axis) {
+        if (ps == axis[2] && pr == axis[3]) continue;
+        samples.push_back({ps, pr, f + s / ps + r / pr});
+      }
+    }
+    samples.push_back({axis[4], axis[5], f});
+    costs.SetEdge(e, std::make_unique<PolyScalarCost>(0.0, 0.01, 0.0),
+                  std::make_unique<TabulatedPairCost>(std::move(samples)));
+  }
+  return TaskChain(std::move(tasks), std::move(costs));
+}
+
+/// Every task and edge content hash of the chain's Evaluator at P.
+std::vector<std::uint64_t> CostHashes(const TaskChain& chain, int max_procs) {
+  const Evaluator eval(chain, max_procs, 1e9);
+  std::vector<std::uint64_t> hashes;
+  for (int t = 0; t < chain.size(); ++t) {
+    hashes.push_back(eval.TaskCostHash(t));
+  }
+  for (int e = 0; e + 1 < chain.size(); ++e) {
+    hashes.push_back(eval.EdgeCostHash(e));
+  }
+  return hashes;
+}
+
+TEST(ChainSerializationTest, TabulatedPairCostsRoundTripLosslessly) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const TaskChain chain = ScatteredPairChain(seed, 64);
+    const TaskChain parsed = ParseChain(SerializeChain(chain, 64));
+    EXPECT_EQ(CostHashes(parsed, 64), CostHashes(chain, 64))
+        << "seed " << seed;
+  }
+}
+
+TEST(ChainSerializationTest, TabsCarriageReturnsAndCommentsParseAsSpaces) {
+  const std::string text = SerializeChain(ScatteredPairChain(3, 64), 64);
+  // Past the header, every space becomes a tab or a carriage return, and
+  // comment and blank lines go in after the header and before "end".
+  std::string mixed = text;
+  const std::size_t body = mixed.find('\n') + 1;
+  bool tab = true;
+  for (std::size_t i = body; i < mixed.size(); ++i) {
+    if (mixed[i] != ' ') continue;
+    mixed[i] = tab ? '\t' : '\r';
+    tab = !tab;
+  }
+  mixed.insert(body, "# a comment line\n");
+  mixed.insert(mixed.rfind("end\n"), "#another\n\n");
+  // Poly and tab costs serialize exactly, so equal text is equal chains.
+  EXPECT_EQ(SerializeChain(ParseChain(mixed), 64), text);
+}
+
+TEST(ChainSerializationTest, HalfNumericTokensAreRejected) {
+  const std::string chain =
+      "pipemap-chain v1\ntasks 1 max_procs 4\n"
+      "task 0 replicable 0 mem_fixed 0 mem_dist 0 name a\n"
+      "exec 0 tab 2 1 0.5 4 0.25\nend\n";
+  ASSERT_NO_THROW(ParseChain(chain));
+  // Each token must parse whole: "3junk" is not 3, and the trailing
+  // "0.25junk" is not 0.25 followed by ignored text.
+  const std::vector<std::pair<std::string, std::string>> corpus = {
+      {"2 1 0.5", "2 3junk 0.5"},
+      {"4 0.25", "4 0.25junk"},
+      {"tasks 1", "tasks 1.0"},
+      {"0.5 4", "0x1p-1 4"},
+  };
+  for (const auto& [from, to] : corpus) {
+    std::string bad = chain;
+    bad.replace(bad.find(from), from.size(), to);
+    EXPECT_THROW(ParseChain(bad), InvalidArgument) << to;
+  }
+  const std::string mapping = "pipemap-mapping v1\nmodules 1\nmodule 0 0 1 4";
+  ASSERT_NO_THROW(ParseMapping(mapping + "\nend\n"));
+  EXPECT_THROW(ParseMapping(mapping + ".5\nend\n"), InvalidArgument);
 }
 
 // Randomized sweep: synthetic chains of every shape round-trip exactly

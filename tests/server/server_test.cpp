@@ -171,6 +171,23 @@ TEST(ServerTest, HostileFramesGetErrorsAndTheConnectionSurvives) {
   EXPECT_TRUE(IsOk(CheckedCall(client, ping)));
 }
 
+TEST(ServerTest, NegativeFloorIsRejectedAndZeroMeansPlainLatency) {
+  TestServer ts;
+  ServerClient client = ts.Connect();
+  ServerRequest request = MapRequestFor(MakeProblem(4, 8));
+  request.objective = "latency";
+  request.floor = -1.0;
+  const std::string rejected = CheckedCall(client, request);
+  EXPECT_NE(rejected.find("\"code\": \"invalid_argument\""),
+            std::string::npos)
+      << rejected;
+  EXPECT_NE(rejected.find("floor must be finite and >= 0"), std::string::npos)
+      << rejected;
+
+  request.floor = 0.0;
+  EXPECT_TRUE(IsOk(CheckedCall(client, request)));
+}
+
 TEST(ServerTest, ManyConcurrentConnectionsAllGetValidResponses) {
   ServerConfig config;
   config.num_workers = 4;

@@ -324,31 +324,14 @@ MapRequest BuildMapRequest(const Flags& flags, const LoadedProblem& problem) {
     request.time_budget_s = seconds;
   }
 
-  const std::string objective = flags.Get("objective").value_or("throughput");
-  const std::string algorithm = flags.Get("algorithm").value_or("dp");
-  if (objective == "latency") {
-    request.solver = SolverPolicy::kLatency;
-    if (const auto floor = flags.Get("floor")) {
-      request.objective = MapObjective::kLatencyWithFloor;
-      request.min_throughput = CheckedDouble("floor", *floor);
-    } else {
-      request.objective = MapObjective::kLatency;
-    }
-  } else if (objective == "throughput") {
-    request.objective = MapObjective::kThroughput;
-    if (algorithm == "dp") {
-      request.solver = SolverPolicy::kDp;
-    } else if (algorithm == "greedy") {
-      request.solver = SolverPolicy::kGreedy;
-    } else if (algorithm == "auto") {
-      request.solver = SolverPolicy::kAuto;
-    } else if (algorithm == "brute") {
-      request.solver = SolverPolicy::kBrute;
-    } else {
-      throw UsageError("unknown algorithm: " + algorithm);
-    }
-  } else {
-    throw UsageError("unknown objective: " + objective);
+  const auto floor = flags.Get("floor");
+  const double floor_value = floor ? CheckedDouble("floor", *floor) : 0.0;
+  try {
+    ApplySolverPolicy(flags.Get("objective").value_or("throughput"),
+                      flags.Get("algorithm").value_or("dp"), floor_value,
+                      &request);
+  } catch (const InvalidArgument& e) {
+    throw UsageError(e.what());
   }
   return request;
 }
