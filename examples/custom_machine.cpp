@@ -1,6 +1,6 @@
 // Mapping onto a user-defined machine. The algorithms are model-agnostic:
 // everything machine-specific enters through (a) the cost functions and
-// (b) the feasibility predicate. This example builds a 4x12 grid with slow
+// (b) the feasibility table. This example builds a 4x12 grid with slow
 // per-message software, defines a five-stage vision pipeline with
 // callback-based (non-polynomial) ground-truth costs, and contrasts the
 // unconstrained optimum with the machine-feasible one.

@@ -34,7 +34,7 @@ MapResult ReplicatedDataParallelMapping(const Evaluator& eval,
                                         ReplicationPolicy policy) {
   const int k = eval.num_tasks();
   const ModuleConfig cfg =
-      eval.ConfigureModule(0, k - 1, total_procs, policy);
+      ConfigureConstrained(eval, 0, k - 1, total_procs, policy, {});
   if (!cfg.valid) {
     throw Infeasible("ReplicatedDataParallelMapping: chain does not fit");
   }
@@ -88,7 +88,8 @@ MapResult NoCommAssignmentMapping(const Evaluator& eval, int total_procs,
 
   std::uint64_t work = 0;
   auto effective_exec = [&](int t, int budget) {
-    const ModuleConfig cfg = eval.ConfigureModule(t, t, budget, policy);
+    const ModuleConfig cfg =
+        ConfigureConstrained(eval, t, t, budget, policy, {});
     PIPEMAP_CHECK(cfg.valid, "NoCommAssignmentMapping: config degenerated");
     return eval.Exec(t, cfg.procs) / cfg.replicas;
   };
@@ -111,7 +112,8 @@ MapResult NoCommAssignmentMapping(const Evaluator& eval, int total_procs,
 
   Mapping mapping;
   for (int t = 0; t < k; ++t) {
-    const ModuleConfig cfg = eval.ConfigureModule(t, t, budgets[t], policy);
+    const ModuleConfig cfg =
+        ConfigureConstrained(eval, t, t, budgets[t], policy, {});
     mapping.modules.push_back(
         ModuleAssignment{t, t, cfg.replicas, cfg.procs});
   }

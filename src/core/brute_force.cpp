@@ -77,7 +77,7 @@ MapResult BruteForceMapper::Map(const Evaluator& eval, int total_procs) const {
   const ScopedMetricsEnable observe(options_.base.observe);
   PIPEMAP_TRACE_SPAN("brute.map", "brute", k);
   const ReplicationPolicy policy = options_.base.replication;
-  const ProcPredicate& feasible = options_.base.proc_feasible;
+  const FeasibleProcs& feasible = options_.base.proc_feasible;
   const bool clustering_allowed = options_.base.allow_clustering;
   const int num_threads = ThreadPool::ResolveThreads(options_.base.num_threads);
   const std::uint64_t num_masks = NumClusterings(k, clustering_allowed);
@@ -154,7 +154,7 @@ LatencyBruteResult BruteForceMinLatency(const Evaluator& eval,
   const int k = eval.num_tasks();
   const ScopedMetricsEnable observe(options.base.observe);
   PIPEMAP_TRACE_SPAN("brute.min_latency", "brute", k);
-  const ProcPredicate& feasible = options.base.proc_feasible;
+  const FeasibleProcs& feasible = options.base.proc_feasible;
   const bool clustering_allowed = options.base.allow_clustering;
   const int num_threads = ThreadPool::ResolveThreads(options.base.num_threads);
   const std::uint64_t num_masks = NumClusterings(k, clustering_allowed);
@@ -208,7 +208,7 @@ LatencyBruteResult BruteForceMinLatency(const Evaluator& eval,
                     : 1;
             for (int r = 1; r <= std::max(1, max_r); ++r) {
               for (int p = min_p; used + r * p <= total_procs; ++p) {
-                if (feasible && !feasible(p)) continue;
+                if (!feasible.Admits(p)) continue;
                 mapping.modules[idx] = ModuleAssignment{first, last, r, p};
                 self(self, idx + 1, used + r * p);
               }

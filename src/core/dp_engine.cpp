@@ -67,18 +67,9 @@ struct BestTerminal {
 
 ModuleConfig LatencyConfig(const Evaluator& eval, int first, int last,
                            int budget, double response_cap,
-                           const ProcPredicate& feasible) {
+                           const FeasibleProcs& feasible) {
   const int min_p = eval.MinProcs(first, last);
   if (budget < min_p || budget < 1 || min_p >= kInfeasibleProcs) return {};
-
-  auto feasible_procs = [&](int replicas) {
-    const int start = budget / replicas;
-    if (!feasible) return start >= min_p ? start : 0;
-    for (int p = start; p >= min_p; --p) {
-      if (feasible(p)) return p;
-    }
-    return 0;
-  };
 
   // With no throughput cap, replication is pointless for latency (it only
   // burns budget that narrower modules could use); pin replicas to 1.
@@ -88,8 +79,9 @@ ModuleConfig LatencyConfig(const Evaluator& eval, int first, int last,
   ModuleConfig best;
   double best_body = kInf;
   for (int r = 1; r <= max_r; ++r) {
-    const int procs = feasible_procs(r);
-    if (procs == 0) continue;
+    // The largest feasible instance size in [min_p, budget / r].
+    const int procs = feasible.AtMost(budget / r);
+    if (procs < min_p) continue;
     // For a given instance size, the maximal replica count within the
     // budget never hurts: latency depends only on the instance size, and
     // more replicas only loosen the throughput cap.
@@ -308,16 +300,16 @@ Incumbent IncumbentFromMapping(const DpContext& ctx, const Mapping& mapping) {
 constexpr std::size_t kMaxWarmTables = 4;
 
 /// True when previously built range tables answer the current problem:
-/// same evaluator and configuration rules, budgets tabulated at least as
-/// far as this solve needs. A larger `tables->cap` is fine — the DP only
-/// reads budgets up to its own cap, and per-budget configurations do not
-/// depend on the cap they were tabulated under.
+/// same evaluator, configuration rules and feasibility table, budgets
+/// tabulated at least as far as this solve needs. A larger `tables->cap`
+/// is fine — the DP only reads budgets up to its own cap, and per-budget
+/// configurations do not depend on the cap they were tabulated under.
 bool TablesUsable(const DpRangeTables& tables, const Evaluator* eval,
                   int cap, int max_len, ReplicationPolicy policy,
                   DpConfigRule rule, double response_cap,
-                  bool has_predicate) {
+                  const FeasibleProcs& feasible) {
   if (tables.eval != eval || tables.cap < cap || tables.max_len != max_len ||
-      tables.rule != rule || tables.has_predicate != has_predicate) {
+      tables.rule != rule || tables.feasible != feasible) {
     return false;
   }
   if (rule == DpConfigRule::kPolicy) return tables.policy == policy;
@@ -452,7 +444,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
       if (warm->tables[i] &&
           TablesUsable(*warm->tables[i], &eval, cap, max_len, policy,
                        problem.config_rule, response_cap,
-                       static_cast<bool>(options.proc_feasible))) {
+                       options.proc_feasible)) {
         ctx.tables = warm->tables[i];
         // Move to front: most recently used survives pool eviction.
         warm->tables.erase(warm->tables.begin() +
@@ -474,7 +466,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
     tables.policy = policy;
     tables.rule = problem.config_rule;
     tables.response_cap = response_cap;
-    tables.has_predicate = static_cast<bool>(options.proc_feasible);
+    tables.feasible = options.proc_feasible;
     tables.budget_stride = cap + 1;
     const std::size_t cfg_size =
         static_cast<std::size_t>(k) * k * (cap + 1);
@@ -634,7 +626,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
         s.k == k && s.cap == cap && s.max_len == max_len &&
         s.policy == policy && s.rule == problem.config_rule &&
         s.response_cap == response_cap &&
-        s.has_predicate == static_cast<bool>(options.proc_feasible) &&
+        s.feasible == options.proc_feasible &&
         s.path_sum == path_sum && s.slot_procs == slot_procs;
     if (key_ok) {
       int dirty = ComputeDirtyFrom(s, eval, k, max_len);
@@ -1326,7 +1318,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
     st.policy = policy;
     st.rule = problem.config_rule;
     st.response_cap = response_cap;
-    st.has_predicate = static_cast<bool>(options.proc_feasible);
+    st.feasible = options.proc_feasible;
     st.path_sum = path_sum;
     st.task_hash.resize(static_cast<std::size_t>(k));
     for (int t = 0; t < k; ++t) st.task_hash[t] = eval.TaskCostHash(t);

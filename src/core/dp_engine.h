@@ -61,7 +61,7 @@ struct DpProblem {
 /// minimum-body (usually replica-free) configuration.
 ModuleConfig LatencyConfig(const Evaluator& eval, int first, int last,
                            int budget, double response_cap,
-                           const ProcPredicate& feasible);
+                           const FeasibleProcs& feasible);
 
 /// Pre-tabulated per-module-range data the DP computes before its sweep:
 /// the configuration for every (first, last) range and budget, the
@@ -78,17 +78,14 @@ ModuleConfig LatencyConfig(const Evaluator& eval, int first, int last,
 struct DpRangeTables {
   // Key: everything the table contents depend on. `response_cap` only
   // shapes configurations under DpConfigRule::kLatencyBody; it is stored
-  // unconditionally and compared only for that rule. The feasibility
-  // predicate cannot be keyed (std::function); the WarmStartState sharing
-  // contract covers it, and `has_predicate` at least catches the
-  // with/without mismatch.
+  // unconditionally and compared only for that rule.
   const Evaluator* eval = nullptr;
   int cap = 0;
   int max_len = 0;
   ReplicationPolicy policy = ReplicationPolicy::kMaximal;
   DpConfigRule rule = DpConfigRule::kPolicy;
   double response_cap = std::numeric_limits<double>::infinity();
-  bool has_predicate = false;
+  FeasibleProcs feasible;
 
   /// Budget axis pitch of the flat configuration arrays (cap + 1).
   int budget_stride = 0;

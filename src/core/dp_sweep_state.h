@@ -4,7 +4,7 @@
 // tables whose contents at stage (j, len) depend only on
 //   * tasks 0..j-1 and edges 0..j-1 of the chain's cost model,
 //   * the module-range metadata (memory minima, replicability) and the
-//     configuration rule / replication policy / feasibility predicate,
+//     configuration rule / replication policy / feasibility table,
 //   * the suffix budget bounds suffix_min[0..j+1] that gate seeds, row
 //     filters, and writes.
 // A re-solve whose chain differs only from some task index onward can
@@ -93,7 +93,7 @@ struct DpSweepState {
   ReplicationPolicy policy = ReplicationPolicy::kMaximal;
   DpConfigRule rule = DpConfigRule::kPolicy;
   double response_cap = 0.0;
-  bool has_predicate = false;
+  FeasibleProcs feasible;
   bool path_sum = false;
 
   // Content fingerprints of the evaluator the sweep was captured against.

@@ -1,7 +1,6 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/simd_kernels.h"
 #include "costmodel/memory.h"
@@ -238,32 +237,6 @@ bool Evaluator::Replicable(int first, int last) const {
   PIPEMAP_CHECK(first >= 0 && last < k_ && first <= last,
                 "Replicable: bad task range");
   return replicable_[static_cast<std::size_t>(first) * k_ + last] != 0;
-}
-
-ModuleConfig Evaluator::ConfigureModule(int first, int last, int proc_budget,
-                                        ReplicationPolicy policy) const {
-  const int min_p = MinProcs(first, last);
-  if (proc_budget < min_p || proc_budget < 1) return {};
-  if (policy == ReplicationPolicy::kNone || !Replicable(first, last)) {
-    return {1, proc_budget, true};
-  }
-  if (policy == ReplicationPolicy::kMaximal) {
-    const int r = proc_budget / min_p;
-    return {r, proc_budget / r, true};
-  }
-  // kSearch: pick r minimizing the effective body time.
-  ModuleConfig best;
-  double best_score = std::numeric_limits<double>::infinity();
-  const int max_r = proc_budget / min_p;
-  for (int r = 1; r <= max_r; ++r) {
-    const int procs = proc_budget / r;
-    const double score = Body(first, last, procs) / r;
-    if (score < best_score) {
-      best_score = score;
-      best = {r, procs, true};
-    }
-  }
-  return best;
 }
 
 double Evaluator::InstanceResponse(int first, int last, int procs,

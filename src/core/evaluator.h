@@ -4,8 +4,8 @@
 // algorithms optimize:
 //   * module response times, including the internal/external communication
 //     choice implied by the clustering,
-//   * replication configuration via the paper's maximal-replication rule
-//     (r = floor(p / p_min), effective processors floor(p / r)),
+//   * the memory minimum and replicability of every module range (which
+//     ConfigureConstrained in core/mapper.h turns into replication),
 //   * effective response f_i / r_i and the bottleneck throughput
 //     1 / max_i(f_i / r_i).
 //
@@ -104,11 +104,6 @@ class Evaluator {
 
   /// True iff every task in [first, last] is replicable.
   bool Replicable(int first, int last) const;
-
-  /// Splits `proc_budget` processors into replicas for module [first,last]
-  /// under `policy`. Invalid when the budget is below the module minimum.
-  ModuleConfig ConfigureModule(int first, int last, int proc_budget,
-                               ReplicationPolicy policy) const;
 
   /// Response time of one instance of module [first, last] on `procs`
   /// processors, given the instance processor counts of the neighbouring

@@ -23,7 +23,7 @@ namespace {
 /// that used to make greedy setup quadratic in P per module.
 std::optional<int> MinUsableBudget(const Evaluator& eval, int first, int last,
                                    int cap, ReplicationPolicy policy,
-                                   const ProcPredicate& feasible) {
+                                   const FeasibleProcs& feasible) {
   const int min_p = eval.MinProcs(first, last);
   if (min_p >= kInfeasibleProcs || min_p > cap) return std::nullopt;
   std::uint64_t probes = 0;
@@ -52,7 +52,7 @@ std::optional<double> TryThroughput(const Evaluator& eval,
                                     const Clustering& clustering,
                                     const std::vector<int>& budgets,
                                     ReplicationPolicy policy,
-                                    const ProcPredicate& feasible) {
+                                    const FeasibleProcs& feasible) {
   const auto mapping =
       BuildMapping(eval, clustering, budgets, policy, feasible);
   if (!mapping) return std::nullopt;
@@ -74,7 +74,7 @@ MapResult GreedyMapper::MapWithClustering(const Evaluator& eval,
                                           int total_procs,
                                           const Clustering& clustering) const {
   const ReplicationPolicy policy = options_.base.replication;
-  const ProcPredicate& feasible = options_.base.proc_feasible;
+  const FeasibleProcs& feasible = options_.base.proc_feasible;
   const int l = static_cast<int>(clustering.size());
   PIPEMAP_CHECK(l >= 1, "GreedyMapper: clustering must be non-empty");
 

@@ -6,6 +6,19 @@
 
 namespace pipemap {
 
+FeasibleProcs::FeasibleProcs(const std::vector<int>& counts) {
+  int largest = 0;
+  for (const int p : counts) {
+    PIPEMAP_CHECK(p >= 1, "FeasibleProcs: counts must be >= 1");
+    largest = std::max(largest, p);
+  }
+  at_most_.assign(static_cast<std::size_t>(largest) + 1, 0);
+  for (const int p : counts) at_most_[p] = p;
+  for (int p = 1; p <= largest; ++p) {
+    at_most_[p] = std::max(at_most_[p], at_most_[p - 1]);
+  }
+}
+
 Clustering SingletonClustering(int num_tasks) {
   Clustering clustering;
   clustering.reserve(num_tasks);
@@ -15,19 +28,9 @@ Clustering SingletonClustering(int num_tasks) {
 
 ModuleConfig ConfigureConstrained(const Evaluator& eval, int first, int last,
                                   int budget, ReplicationPolicy policy,
-                                  const ProcPredicate& feasible) {
-  if (!feasible) return eval.ConfigureModule(first, last, budget, policy);
-
+                                  const FeasibleProcs& feasible) {
   const int min_p = eval.MinProcs(first, last);
   if (budget < min_p || budget < 1) return {};
-
-  // Largest feasible instance size in [min_p, budget / r], or 0.
-  auto feasible_procs = [&](int replicas) {
-    for (int p = budget / replicas; p >= min_p; --p) {
-      if (feasible(p)) return p;
-    }
-    return 0;
-  };
 
   const bool may_replicate = policy != ReplicationPolicy::kNone &&
                              eval.Replicable(first, last) &&
@@ -38,8 +41,8 @@ ModuleConfig ConfigureConstrained(const Evaluator& eval, int first, int last,
     ModuleConfig best;
     double best_score = std::numeric_limits<double>::infinity();
     for (int r = 1; r <= max_r; ++r) {
-      const int procs = feasible_procs(r);
-      if (procs == 0) continue;
+      const int procs = feasible.AtMost(budget / r);
+      if (procs < min_p) continue;
       const double score = eval.Body(first, last, procs) / r;
       if (score < best_score) {
         best_score = score;
@@ -52,8 +55,8 @@ ModuleConfig ConfigureConstrained(const Evaluator& eval, int first, int last,
   // kMaximal (and kNone, where max_r == 1): prefer the highest replica
   // count whose per-instance share admits a feasible rectangle.
   for (int r = max_r; r >= 1; --r) {
-    const int procs = feasible_procs(r);
-    if (procs != 0) return {r, procs, true};
+    const int procs = feasible.AtMost(budget / r);
+    if (procs >= min_p) return {r, procs, true};
   }
   return {};
 }
@@ -62,7 +65,7 @@ std::optional<Mapping> BuildMapping(const Evaluator& eval,
                                     const Clustering& clustering,
                                     const std::vector<int>& budgets,
                                     ReplicationPolicy policy,
-                                    const ProcPredicate& feasible) {
+                                    const FeasibleProcs& feasible) {
   PIPEMAP_CHECK(clustering.size() == budgets.size(),
                 "BuildMapping: clustering/budget size mismatch");
   Mapping mapping;

@@ -3,8 +3,8 @@
 // force) must share so their optimality claims are comparable.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -17,23 +17,47 @@
 
 namespace pipemap {
 
-/// Predicate over per-instance processor counts; models machine/compiler
+/// The admissible per-instance processor counts: machine/compiler
 /// constraints such as the Fx compiler's rectangular-subarray requirement
-/// (Section 6.1). Null means every count is allowed.
-using ProcPredicate = std::function<bool(int)>;
+/// (Section 6.1), resolved once into a lookup table. Default-constructed,
+/// it admits every count. Two tables compare equal iff they admit the
+/// same counts, so the DP's warm tables and captured sweeps compare the
+/// table they were built under, and the engine keys on it.
+class FeasibleProcs {
+ public:
+  FeasibleProcs() = default;
+  /// Admits exactly `counts` (any order; duplicates are ignored). Every
+  /// count must be >= 1.
+  explicit FeasibleProcs(const std::vector<int>& counts);
+
+  bool Admits(int p) const { return p >= 1 && AtMost(p) == p; }
+
+  /// Largest admitted count <= p, or 0 when there is none.
+  int AtMost(int p) const {
+    if (p < 1) return 0;
+    if (at_most_.empty()) return p;
+    return at_most_[std::min<std::size_t>(p, at_most_.size() - 1)];
+  }
+
+  bool operator==(const FeasibleProcs&) const = default;
+
+ private:
+  /// at_most_[p] = AtMost(p), ending at the largest admitted count (so
+  /// equal count sets give equal tables); empty admits every count.
+  std::vector<int> at_most_;
+};
 
 /// Options shared by the mapping algorithms.
 struct MapperOptions {
   ReplicationPolicy replication = ReplicationPolicy::kMaximal;
   bool allow_clustering = true;
-  ProcPredicate proc_feasible;
+  FeasibleProcs proc_feasible;
   /// Upper bound on dynamic-programming table memory; exceeding it throws
   /// pipemap::ResourceLimit instead of silently thrashing.
   std::size_t max_table_bytes = std::size_t{3} << 30;
   /// Worker threads for the parallel mappers: <= 0 means hardware
   /// concurrency, 1 forces the bit-exact serial path. Every thread count
-  /// produces identical mappings and objective values; `proc_feasible`
-  /// must be safe to call concurrently when this is not 1.
+  /// produces identical mappings and objective values.
   int num_threads = 0;
   /// Forces metrics collection (support/metrics.h) on for the duration of
   /// the mapping run, restoring the previous process-wide setting after.
@@ -43,8 +67,8 @@ struct MapperOptions {
   bool observe = false;
   /// Optional warm-start state shared across adjacent solves (frontier
   /// and budget sweeps). Null runs cold. Purely an accelerator: the DP
-  /// returns identical mappings warm or cold (see core/warm_start.h for
-  /// the sharing contract). Never part of the cache fingerprint.
+  /// returns identical mappings warm or cold (core/warm_start.h). Never
+  /// part of the cache fingerprint.
   std::shared_ptr<WarmStartState> warm;
   /// Capture and reuse whole DP sweep states through `warm` for
   /// incremental re-solves (core/dp_sweep_state.h): a solve whose chain
@@ -98,13 +122,14 @@ using Clustering = std::vector<std::pair<int, int>>;
 /// Clustering with every task in its own module.
 Clustering SingletonClustering(int num_tasks);
 
-/// Configures module [first, last] with `budget` processors under `policy`,
-/// then lowers the per-instance count to the largest value satisfying
-/// `feasible` (if given). Returns an invalid config when the budget cannot
-/// satisfy the memory minimum or no feasible instance size exists.
+/// Splits `budget` processors into replicas for module [first, last] under
+/// `policy` (Section 3.2: r = floor(budget / p_min) under kMaximal), then
+/// lowers the per-instance count to the largest count `feasible` admits.
+/// Invalid when the budget misses the memory minimum or no feasible
+/// instance size exists.
 ModuleConfig ConfigureConstrained(const Evaluator& eval, int first, int last,
                                   int budget, ReplicationPolicy policy,
-                                  const ProcPredicate& feasible);
+                                  const FeasibleProcs& feasible);
 
 /// Builds the Mapping induced by a clustering and per-module processor
 /// budgets; nullopt if any module cannot be configured.
@@ -112,6 +137,6 @@ std::optional<Mapping> BuildMapping(const Evaluator& eval,
                                     const Clustering& clustering,
                                     const std::vector<int>& budgets,
                                     ReplicationPolicy policy,
-                                    const ProcPredicate& feasible);
+                                    const FeasibleProcs& feasible);
 
 }  // namespace pipemap

@@ -10,7 +10,7 @@
 //     tabulates before its sweep (every (first, last) range × budget
 //     configuration, plus the derived minimum-budget and suffix bounds) —
 //     identical across solves whenever the chain, replication rule, and
-//     feasibility predicate are unchanged;
+//     feasibility table are unchanged;
 //   * a feasible incumbent mapping, whose objective value seeds the DP's
 //     dominance-pruning threshold so the optimistic bounds have something
 //     tight to beat from the first stage onward.
@@ -20,13 +20,8 @@
 // after each run. Warm starts are accelerators only — the dynamic
 // program's pruning is bound-safe, so a warm-started solve returns exactly
 // the mapping and objective a cold solve would (a property the tests pin).
-//
-// Contract: table reuse is keyed on everything the tables depend on
-// except the feasibility predicate, whose std::function identity cannot be
-// compared. The caller must only share one WarmStartState across solves
-// that use the same predicate (the engine keys its warm states on the
-// machine fingerprint, which subsumes it). The state is not synchronized;
-// concurrent solves must not share one instance without external locking.
+// The state is not synchronized; concurrent solves must not share one
+// instance without external locking.
 #pragma once
 
 #include <cstdint>

@@ -23,7 +23,7 @@ namespace pipemap {
 
 namespace {
 
-constexpr std::string_view kMagic = "pipemap-cache v2";
+constexpr std::string_view kMagic = "pipemap-cache v3";
 constexpr std::string_view kLockFileName = "pipemap.lock";
 /// Decode refuses byte-counted fields larger than this: a plausible upper
 /// bound on any real mapping text, and a cheap guard against a corrupt

@@ -16,9 +16,10 @@
 //     truncation, bad checksum, wrong version, fingerprint mismatch —
 //     is skipped loudly: a stderr line plus the persist.corrupt counter,
 //     never a wrong answer. A corrupt entry heals itself when the re-solve
-//     overwrites it. Entries of the older `pipemap-cache v1` format (keyed
-//     by a text fingerprint) are never migrated: their names do not match
-//     v2 keys, and one that did would be skipped as a wrong version.
+//     overwrites it. Entries of older formats (`pipemap-cache v1`, keyed
+//     by a text fingerprint, and v2, whose key did not fold the
+//     feasibility table) are never migrated: their names do not match v3
+//     keys, and one that did would be skipped as a wrong version.
 //
 // Writes are write-behind: Store enqueues a copy into a bounded queue
 // drained by a dedicated writer thread (same discipline as

@@ -1,5 +1,6 @@
 // The engine's request key: one 64-bit value that names a mapping problem
-// (RequestKey in engine/mapping_engine.h, built with FingerprintBuilder).
+// (MappingEngine::Fingerprint in engine/mapping_engine.h, built with
+// FingerprintBuilder).
 //
 // The mappers read a problem only through its Evaluator (paper §3: O(1)
 // lookups of f_exec, f_icom and f_ecom at every processor count up to P,
@@ -7,7 +8,8 @@
 // therefore built from what the Evaluator already holds — its per-task
 // and per-edge content hashes, its min-procs and replicable range
 // tables, k and P — folded together with the machine, option, objective,
-// solver, floor and feasibility fields of the request. Two requests with
+// solver and floor fields of the request and the processor counts its
+// resolved feasibility table admits. Two requests with
 // equal keys present the solvers with identical inputs, so a cached,
 // shared or disk-persisted answer is what a fresh solve would return by
 // construction. A single flipped bit in any table entry always changes
@@ -20,8 +22,8 @@
 //
 // Keys are stable across processes and thread counts (the tables are
 // bit-identical for every thread count). A request is uncacheable — key
-// 0 — when it carries a custom proc_feasible closure or its Evaluator is
-// untabulated (P above the tabulation limit, no content hashes).
+// 0 — only when its Evaluator is untabulated (P above the tabulation
+// limit, no content hashes).
 #pragma once
 
 #include <cstdint>

@@ -194,29 +194,104 @@ const Evaluator& RequestEvaluator(const MapRequest& request, int procs,
   return **owned;
 }
 
+/// The request's options with the table the solvers run under: the
+/// caller's, or the machine's counts up to `procs` when the caller left
+/// the default and asked for it. Built once per request: keys and solves.
+MapperOptions ResolveOptions(const MapRequest& request, int procs) {
+  MapperOptions options = request.options;
+  if (request.machine_feasibility &&
+      options.proc_feasible == FeasibleProcs()) {
+    options.proc_feasible =
+        FeasibilityChecker(request.machine).ProcCountPredicate(procs);
+  }
+  return options;
+}
+
+// Key-completeness guards: these mirrors list every field of the structs
+// RequestKey reads field by field. A new field changes the struct's size
+// and breaks the build here, so whoever adds it decides whether the key
+// covers it. Left out on purpose: the MapperOptions execution knobs
+// (num_threads, observe, warm, incremental, deadline), none of which can
+// change a cacheable answer. proc_feasible enters resolved (see
+// ResolveOptions).
+struct MachineConfigMirror {
+  std::string name;
+  int grid_rows, grid_cols;
+  double node_memory_bytes;
+  CommMode comm_mode;
+  double node_flops, msg_overhead_s, transfer_startup_s, node_bandwidth,
+      sync_per_proc_s;
+  int pathways_per_link;
+};
+struct MapperOptionsMirror {
+  ReplicationPolicy replication;
+  bool allow_clustering;
+  FeasibleProcs proc_feasible;
+  std::size_t max_table_bytes;
+  int num_threads;
+  bool observe;
+  std::shared_ptr<WarmStartState> warm;
+  bool incremental;
+  std::shared_ptr<const Deadline> deadline;
+};
+static_assert(sizeof(MachineConfig) == sizeof(MachineConfigMirror) &&
+                  sizeof(MapperOptions) == sizeof(MapperOptionsMirror),
+              "MachineConfig or MapperOptions changed: decide whether "
+              "RequestKey covers the field, then update the mirror");
+
+/// The request key (engine/fingerprint.h) on `procs` processors under the
+/// resolved table `feasible`; 0 for an untabulated Evaluator. Without
+/// `costs`, everything but the chain's costs: the warm pool's key.
+std::uint64_t RequestKey(const MapRequest& request,
+                         const FeasibleProcs& feasible, int procs,
+                         const Evaluator* costs) {
+  if (costs != nullptr && !costs->tabulated()) return 0;
+  const MachineConfig& m = request.machine;
+  const MapperOptions& o = request.options;
+  FingerprintBuilder fb;
+  fb.Append("pipemap-request v3");
+  fb.Append(m.name).Append(m.grid_rows).Append(m.grid_cols);
+  fb.Append(m.node_memory_bytes).Append(static_cast<int>(m.comm_mode));
+  fb.Append(m.node_flops).Append(m.msg_overhead_s);
+  fb.Append(m.transfer_startup_s).Append(m.node_bandwidth);
+  fb.Append(m.sync_per_proc_s).Append(m.pathways_per_link);
+  fb.Append(static_cast<int>(o.replication)).Append(o.allow_clustering);
+  fb.Append(static_cast<std::uint64_t>(o.max_table_bytes));
+  fb.Append(static_cast<int>(request.objective));
+  fb.Append(static_cast<int>(request.solver));
+  fb.Append(procs).Append(request.min_throughput);
+  // The resolved table as the solvers read it: the counts in 1..procs it
+  // admits, descending, then 0 (never a count).
+  for (int p = feasible.AtMost(procs); p > 0; p = feasible.AtMost(p - 1)) {
+    fb.Append(p);
+  }
+  fb.Append(0);
+  if (costs == nullptr) return fb.value();
+
+  const int k = costs->num_tasks();
+  fb.Append(k).Append(costs->max_procs());
+  for (int t = 0; t < k; ++t) fb.Append(costs->TaskCostHash(t));
+  for (int e = 0; e + 1 < k; ++e) fb.Append(costs->EdgeCostHash(e));
+  const std::vector<int>& min_procs = costs->min_procs_table();
+  const std::vector<char>& replicable = costs->replicable_table();
+  for (std::size_t i = 0; i < min_procs.size(); ++i) {
+    fb.Append((static_cast<std::uint64_t>(min_procs[i]) << 1) |
+              (replicable[i] != 0 ? 1u : 0u));
+  }
+  return std::max<std::uint64_t>(fb.value(), 1);  // 0 means uncacheable
+}
+
 /// Memo key of a sweep: the request key extended by the sweep kind and
 /// its parameter; 0 when the request is uncacheable.
-std::uint64_t SweepKey(const MapRequest& request, int procs,
-                       const Evaluator& eval, const char* sweep,
+std::uint64_t SweepKey(const MapRequest& request, const FeasibleProcs& feasible,
+                       int procs, const Evaluator& eval, const char* sweep,
                        double parameter) {
   const std::uint64_t key =
-      request.use_cache ? RequestKey(request, procs, &eval) : 0;
+      request.use_cache ? RequestKey(request, feasible, procs, &eval) : 0;
   if (key == 0) return 0;
   FingerprintBuilder fb;
   fb.Append(sweep).Append(key).Append(parameter);
   return fb.value();
-}
-
-/// Resolved MapperOptions: the machine-derived feasibility predicate is
-/// installed here, after keying, so it never leaks into the cache key
-/// (the machine's grid fields already cover it).
-MapperOptions ResolveOptions(const MapRequest& request) {
-  MapperOptions options = request.options;
-  if (request.machine_feasibility && !options.proc_feasible) {
-    options.proc_feasible =
-        FeasibilityChecker(request.machine).ProcCountPredicate();
-  }
-  return options;
 }
 
 /// Fills `response` with a cached or shared solve's answer.
@@ -245,8 +320,7 @@ void FifoInsert(std::unordered_map<std::uint64_t, V>& memo,
 /// Runs `sweep(options)` with one warm-start state threaded through all
 /// of its solves, adding the state's reuse counts to `stats`.
 template <typename Sweep>
-auto WarmSweep(const MapRequest& request, SweepStats* stats, Sweep sweep) {
-  MapperOptions options = ResolveOptions(request);
+auto WarmSweep(MapperOptions options, SweepStats* stats, Sweep sweep) {
   if (!options.warm) options.warm = std::make_shared<WarmStartState>();
   const WarmStartState& warm = *options.warm;
   const std::uint64_t built0 = warm.tables_built;
@@ -340,72 +414,6 @@ MappingEngine& MappingEngine::Shared() {
   return engine;
 }
 
-// Key-completeness guards: these mirrors list every field of the structs
-// RequestKey reads field by field. A new field changes the struct's size
-// and breaks the build here, so whoever adds it decides whether the key
-// covers it. Left out on purpose: the MapperOptions execution knobs
-// (num_threads, observe, warm, incremental, deadline), none of which can
-// change a cacheable answer, and proc_feasible, which makes a request
-// uncacheable.
-struct MachineConfigMirror {
-  std::string name;
-  int grid_rows, grid_cols;
-  double node_memory_bytes;
-  CommMode comm_mode;
-  double node_flops, msg_overhead_s, transfer_startup_s, node_bandwidth,
-      sync_per_proc_s;
-  int pathways_per_link;
-};
-struct MapperOptionsMirror {
-  ReplicationPolicy replication;
-  bool allow_clustering;
-  ProcPredicate proc_feasible;
-  std::size_t max_table_bytes;
-  int num_threads;
-  bool observe;
-  std::shared_ptr<WarmStartState> warm;
-  bool incremental;
-  std::shared_ptr<const Deadline> deadline;
-};
-static_assert(sizeof(MachineConfig) == sizeof(MachineConfigMirror) &&
-                  sizeof(MapperOptions) == sizeof(MapperOptionsMirror),
-              "MachineConfig or MapperOptions changed: decide whether "
-              "RequestKey covers the field, then update the mirror");
-
-std::uint64_t RequestKey(const MapRequest& request, int procs,
-                         const Evaluator* costs) {
-  if (request.options.proc_feasible) return 0;
-  if (costs != nullptr && !costs->tabulated()) return 0;
-  const MachineConfig& m = request.machine;
-  const MapperOptions& o = request.options;
-  FingerprintBuilder fb;
-  fb.Append("pipemap-request v2");
-  fb.Append(m.name).Append(m.grid_rows).Append(m.grid_cols);
-  fb.Append(m.node_memory_bytes).Append(static_cast<int>(m.comm_mode));
-  fb.Append(m.node_flops).Append(m.msg_overhead_s);
-  fb.Append(m.transfer_startup_s).Append(m.node_bandwidth);
-  fb.Append(m.sync_per_proc_s).Append(m.pathways_per_link);
-  fb.Append(static_cast<int>(o.replication)).Append(o.allow_clustering);
-  fb.Append(static_cast<std::uint64_t>(o.max_table_bytes));
-  fb.Append(static_cast<int>(request.objective));
-  fb.Append(static_cast<int>(request.solver));
-  fb.Append(procs).Append(request.min_throughput);
-  fb.Append(request.machine_feasibility);
-  if (costs == nullptr) return fb.value();
-
-  const int k = costs->num_tasks();
-  fb.Append(k).Append(costs->max_procs());
-  for (int t = 0; t < k; ++t) fb.Append(costs->TaskCostHash(t));
-  for (int e = 0; e + 1 < k; ++e) fb.Append(costs->EdgeCostHash(e));
-  const std::vector<int>& min_procs = costs->min_procs_table();
-  const std::vector<char>& replicable = costs->replicable_table();
-  for (std::size_t i = 0; i < min_procs.size(); ++i) {
-    fb.Append((static_cast<std::uint64_t>(min_procs[i]) << 1) |
-              (replicable[i] != 0 ? 1u : 0u));
-  }
-  return std::max<std::uint64_t>(fb.value(), 1);  // 0 means uncacheable
-}
-
 bool MappingEngine::WarmPoolContains(std::uint64_t key) {
   std::lock_guard<std::mutex> lock(sweep_mu_);
   return warm_pool_.find(key) != warm_pool_.end();
@@ -413,11 +421,10 @@ bool MappingEngine::WarmPoolContains(std::uint64_t key) {
 
 std::uint64_t MappingEngine::Fingerprint(const MapRequest& request) const {
   ValidateRequest(request);
-  if (request.options.proc_feasible) return 0;
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned;
-  return RequestKey(request, procs,
-                    &RequestEvaluator(request, procs, &owned));
+  return RequestKey(request, ResolveOptions(request, procs).proc_feasible,
+                    procs, &RequestEvaluator(request, procs, &owned));
 }
 
 MapResponse MappingEngine::Map(const MapRequest& request) {
@@ -439,22 +446,27 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned_eval;
   const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
+  MapperOptions options = ResolveOptions(request, procs);
 
   MapResponse response;
   response.trace_id = request.trace_id;
   if (request.use_cache) {
-    response.fingerprint = RequestKey(request, procs, &eval);
+    response.fingerprint =
+        RequestKey(request, options.proc_feasible, procs, &eval);
   }
   response.cacheable = response.fingerprint != 0;
+  // Incremental requests without their own state use the warm pool below.
+  const bool pooled_warm = options.incremental && !options.warm;
+  const std::uint64_t warm_key =
+      pooled_warm ? RequestKey(request, options.proc_feasible, procs, nullptr)
+                  : 0;
   // An incremental request whose configuration has no pooled warm state
   // solves even when the cache could answer: only a real solve captures
   // the DP sweep that later perturbed re-solves reuse. Without this, a
   // process restarted onto a persistent cache would answer from disk
   // forever and never rebuild its warm pool.
   bool capture_solve = false;
-  if (response.cacheable && request.options.incremental &&
-      !request.options.warm &&
-      !WarmPoolContains(RequestKey(request, procs, nullptr))) {
+  if (response.cacheable && pooled_warm && !WarmPoolContains(warm_key)) {
     capture_solve = true;
     PIPEMAP_COUNTER_ADD("engine.cache.capture_solves", 1);
   }
@@ -509,9 +521,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   FlightPublisher publisher(&single_flight_, response.fingerprint,
                             flight_leader ? flight : nullptr);
 
-  // Cold path: resolve options, run the portfolio on the request's
-  // Evaluator.
-  MapperOptions options = ResolveOptions(request);
+  // Cold path: run the portfolio on the request's Evaluator.
   // A binding budget (positive finite; 0/unset means unlimited — see
   // MapRequest::time_budget_s) becomes a cooperative deadline threaded
   // into the solver inner loops, anchored at this request's start so the
@@ -530,11 +540,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   // and reuses whatever prefix is still clean, so a remap after a cost
   // perturbation re-sweeps only the dirty suffix.
   std::shared_ptr<WarmStartState> warm = options.warm;
-  std::uint64_t warm_key = 0;
-  bool pooled_warm = false;
-  if (!warm && options.incremental &&
-      !request.options.proc_feasible) {
-    warm_key = RequestKey(request, procs, nullptr);
+  if (pooled_warm) {
     std::lock_guard<std::mutex> lock(sweep_mu_);
     const auto it = warm_pool_.find(warm_key);
     if (it != warm_pool_.end()) {
@@ -547,7 +553,6 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
     } else {
       PIPEMAP_COUNTER_ADD("engine.warm_pool.misses", 1);
     }
-    pooled_warm = true;
   }
   if (!warm) {
     warm = std::make_shared<WarmStartState>();
@@ -675,12 +680,14 @@ std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned_eval;
   const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
+  const MapperOptions options = ResolveOptions(request, procs);
 
   // Whole-sweep memoization: a repeated sweep on an unchanged problem is
   // answered without a single DP solve. The key extends the request key
   // with the sweep parameter, under the same cacheability rule as Map.
-  const std::uint64_t key = SweepKey(request, procs, eval, "frontier",
-                                     static_cast<double>(num_points));
+  const std::uint64_t key =
+      SweepKey(request, options.proc_feasible, procs, eval, "frontier",
+               static_cast<double>(num_points));
   const bool cacheable = key != 0;
   if (cacheable) {
     std::lock_guard<std::mutex> lock(sweep_mu_);
@@ -694,8 +701,8 @@ std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
   }
 
   std::vector<FrontierPoint> frontier =
-      WarmSweep(request, stats, [&](const MapperOptions& options) {
-        return LatencyThroughputFrontier(eval, procs, num_points, options);
+      WarmSweep(options, stats, [&](const MapperOptions& with_warm) {
+        return LatencyThroughputFrontier(eval, procs, num_points, with_warm);
       });
   if (cacheable) {
     std::lock_guard<std::mutex> lock(sweep_mu_);
@@ -714,8 +721,9 @@ ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
   std::optional<Evaluator> owned_eval;
   const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
 
-  const std::uint64_t key =
-      SweepKey(request, procs, eval, "sizing", target_throughput);
+  const MapperOptions options = ResolveOptions(request, procs);
+  const std::uint64_t key = SweepKey(request, options.proc_feasible, procs,
+                                     eval, "sizing", target_throughput);
   const bool cacheable = key != 0;
   if (cacheable) {
     std::lock_guard<std::mutex> lock(sweep_mu_);
@@ -729,9 +737,9 @@ ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
   }
 
   ProcCountResult result =
-      WarmSweep(request, stats, [&](const MapperOptions& options) {
+      WarmSweep(options, stats, [&](const MapperOptions& with_warm) {
         return MinProcessorsForThroughput(eval, procs, target_throughput,
-                                          options);
+                                          with_warm);
       });
   if (cacheable) {
     std::lock_guard<std::mutex> lock(sweep_mu_);

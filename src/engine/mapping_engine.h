@@ -22,19 +22,20 @@
 //     work is done.
 //
 // Caching: every request builds its Evaluator once; the request key
-// (RequestKey below, engine/fingerprint.h) is taken from the Evaluator's
+// (Fingerprint below, engine/fingerprint.h) is taken from the Evaluator's
 // cost-table hashes and range tables plus the machine and option fields,
 // and the same Evaluator then solves a miss. Hits come from a sharded LRU
 // cache (engine/solution_cache.h) and return a mapping byte-identical to
 // what a fresh solve would produce — the cache stores serialized
-// mappings, and the tests pin the equality. A custom proc_feasible
-// closure cannot be keyed, and an untabulated Evaluator has no content
-// hashes, so such requests bypass the cache entirely rather than risk a
-// false hit. With EngineConfig::cache_dir set the cache additionally
-// persists (engine/cache_persist.h): a restarted process answers
-// yesterday's keys from disk, and the response reports which tier hit
-// via MapResponse::cache_tier. Concurrent identical-key misses collapse
-// into one solve (engine/single_flight.h) whose result fans out to every
+// mappings, and the tests pin the equality. The key folds the resolved
+// feasibility table, so a caller's table is cached like the machine's.
+// An untabulated Evaluator has no content hashes, so such requests bypass
+// the cache entirely rather than risk a false hit. With
+// EngineConfig::cache_dir set the cache additionally persists
+// (engine/cache_persist.h): a restarted process answers yesterday's keys
+// from disk, and the response reports which tier hit via
+// MapResponse::cache_tier. Concurrent identical-key misses collapse into
+// one solve (engine/single_flight.h) whose result fans out to every
 // waiter with MapResponse::shared_solve provenance.
 //
 // Sweeps (Frontier, MinProcs) are cached whole under the same key
@@ -63,7 +64,7 @@
 
 namespace pipemap {
 
-/// What the caller wants optimized. RequestKey folds the enumerator's
+/// What the caller wants optimized. The request key folds the enumerator's
 /// value in, so the order is part of the key.
 enum class MapObjective {
   /// Maximize throughput (minimize the bottleneck effective response).
@@ -99,12 +100,12 @@ struct MapRequest {
   /// Throughput floor for MapObjective::kLatencyWithFloor.
   double min_throughput = 0.0;
   SolverPolicy solver = SolverPolicy::kAuto;
-  /// Algorithm options. A custom proc_feasible makes the request
-  /// uncacheable; leave it null and keep machine_feasibility true to get
-  /// the machine-derived predicate, which is keyed via the machine.
+  /// Algorithm options. Leave proc_feasible at its default and keep
+  /// machine_feasibility true to get the machine's table; either way the
+  /// key folds the table the solvers run under.
   MapperOptions options;
-  /// Installs FeasibilityChecker(machine)'s processor-count predicate
-  /// when options.proc_feasible is null (matches the CLI's default).
+  /// Installs FeasibilityChecker(machine)'s processor-count table when
+  /// options.proc_feasible is the default (matches the CLI's default).
   bool machine_feasibility = true;
   /// Consult/populate the engine's solution cache.
   bool use_cache = true;
@@ -196,15 +197,6 @@ struct MapResponse {
   std::string ToJson() const;
 };
 
-/// The engine's one request key (engine/fingerprint.h) on a
-/// `procs`-processor budget. With `costs`, the request's Evaluator, it is
-/// the full key — the Evaluator's content hashes and range tables, k and
-/// P, plus the machine, option, objective, solver, floor and feasibility
-/// fields — or 0 when the request is uncacheable. Without `costs` it is
-/// the key of everything except the chain's costs (the warm pool's key).
-std::uint64_t RequestKey(const MapRequest& request, int procs,
-                         const Evaluator* costs);
-
 /// Warm-start activity across an engine-driven sweep (Frontier/MinProcs).
 struct SweepStats {
   std::uint64_t solves = 0;
@@ -261,8 +253,8 @@ class MappingEngine {
                            SweepStats* stats = nullptr);
 
   /// Request key of `request` (also computed by Map), tabulating an
-  /// Evaluator unless the request carries one; 0 when the request is
-  /// uncacheable (custom predicate, untabulated Evaluator).
+  /// Evaluator unless the request carries one; 0 when the Evaluator is
+  /// untabulated.
   std::uint64_t Fingerprint(const MapRequest& request) const;
 
   SolutionCache& cache() { return cache_; }

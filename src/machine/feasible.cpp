@@ -12,10 +12,9 @@ namespace pipemap {
 FeasibilityChecker::FeasibilityChecker(MachineConfig machine)
     : machine_(std::move(machine)) {}
 
-ProcPredicate FeasibilityChecker::ProcCountPredicate() const {
-  const int rows = machine_.grid_rows;
-  const int cols = machine_.grid_cols;
-  return [rows, cols](int procs) { return IsRectFeasible(procs, rows, cols); };
+FeasibleProcs FeasibilityChecker::ProcCountPredicate(int max_count) const {
+  return FeasibleProcs(
+      FeasibleProcCounts(machine_.grid_rows, machine_.grid_cols, max_count));
 }
 
 FeasibilityReport FeasibilityChecker::Check(const Mapping& mapping) const {

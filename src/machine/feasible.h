@@ -1,13 +1,14 @@
 // Mapping feasibility on a concrete machine.
 //
 // Combines the rectangular-subarray constraint, grid packing, and (in
-// systolic mode) pathway-capacity checks into the predicate and validator
-// the mappers consume, and implements the paper's fallback for infeasible
-// optimal mappings: reduce replication of modules until the mapping packs
-// (Section 6.4: "we used a smaller number of instances of one or more
-// modules").
+// systolic mode) pathway-capacity checks into the feasibility table and
+// validator the mappers consume, and implements the paper's fallback for
+// infeasible optimal mappings: reduce replication of modules until the
+// mapping packs (Section 6.4: "we used a smaller number of instances of
+// one or more modules").
 #pragma once
 
+#include <limits>
 #include <string>
 
 #include "core/evaluator.h"
@@ -32,9 +33,11 @@ class FeasibilityChecker {
 
   const MachineConfig& machine() const { return machine_; }
 
-  /// Per-instance processor-count predicate (rectangular subarrays) for use
-  /// as MapperOptions::proc_feasible.
-  ProcPredicate ProcCountPredicate() const;
+  /// The grid's rectangle-feasible per-instance processor counts up to
+  /// `max_count` (FeasibleProcCounts), for MapperOptions::proc_feasible: a
+  /// P-processor solve reads no count above P, so P is exact for it.
+  FeasibleProcs ProcCountPredicate(
+      int max_count = std::numeric_limits<int>::max()) const;
 
   /// Full check: rectangle counts, grid packing, pathway capacities.
   FeasibilityReport Check(const Mapping& mapping) const;

@@ -1,6 +1,7 @@
 #include "machine/rect.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/error.h"
 
@@ -24,10 +25,20 @@ bool IsRectFeasible(int procs, int rows, int cols) {
   return !RectFactorizations(procs, rows, cols).empty();
 }
 
-std::vector<int> FeasibleProcCounts(int rows, int cols) {
+std::vector<int> FeasibleProcCounts(int rows, int cols, int max_count) {
+  PIPEMAP_CHECK(rows >= 1 && cols >= 1,
+                "FeasibleProcCounts: grid must be non-empty");
+  // 64-bit throughout: rows * cols overflows int on large grids.
+  const std::int64_t limit = std::min<std::int64_t>(
+      std::int64_t{rows} * cols, std::max(max_count, 0));
+  std::vector<char> area(static_cast<std::size_t>(limit) + 1, 0);
+  for (std::int64_t h = 1; h <= std::min<std::int64_t>(rows, limit); ++h) {
+    const std::int64_t widths = std::min<std::int64_t>(cols, limit / h);
+    for (std::int64_t w = 1; w <= widths; ++w) area[h * w] = 1;
+  }
   std::vector<int> counts;
-  for (int p = 1; p <= rows * cols; ++p) {
-    if (IsRectFeasible(p, rows, cols)) counts.push_back(p);
+  for (std::int64_t p = 1; p <= limit; ++p) {
+    if (area[p] != 0) counts.push_back(static_cast<int>(p));
   }
   return counts;
 }

@@ -7,6 +7,7 @@
 // mapping for 512x512/systolic drops module 2 from 13 to 12 processors.
 #pragma once
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,10 @@ std::vector<std::pair<int, int>> RectFactorizations(int procs, int rows,
 /// True iff some rectangle of area `procs` fits the grid.
 bool IsRectFeasible(int procs, int rows, int cols);
 
-/// Sorted list of all rectangle-feasible processor counts on the grid.
-std::vector<int> FeasibleProcCounts(int rows, int cols);
+/// Sorted rectangle-feasible processor counts up to `max_count`: the areas
+/// h x w <= max_count with h <= rows, w <= cols. O(n log n) time and O(n)
+/// memory for n = min(rows x cols, max_count), whatever the grid's size.
+std::vector<int> FeasibleProcCounts(
+    int rows, int cols, int max_count = std::numeric_limits<int>::max());
 
 }  // namespace pipemap

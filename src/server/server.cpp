@@ -689,17 +689,29 @@ std::string PipemapServer::DispatchRequest(const ServerRequest& request,
   }
 }
 
-std::string PipemapServer::HandleMap(const ServerRequest& request,
-                                     double budget_s,
-                                     RequestOutcome* outcome) {
+struct PipemapServer::Solved {
+  /// Both on the heap: the Evaluator points at the chain, and the pair
+  /// outlives Solve.
+  std::unique_ptr<const TaskChain> chain;
+  std::unique_ptr<const Evaluator> eval;
+  MapResponse response;
+  Mapping mapping;  // response.mapping made feasible on the machine
+};
+
+PipemapServer::Solved PipemapServer::Solve(const ServerRequest& request,
+                                           const char* op, double budget_s,
+                                           RequestOutcome* outcome) {
   if (!request.has_chain || !request.has_machine) {
-    throw InvalidArgument("op map needs chain and machine sections");
+    throw InvalidArgument(std::string("op ") + op +
+                          " needs chain and machine sections");
   }
-  const TaskChain chain = ParseChain(request.chain_text);
+  Solved solved;
+  solved.chain =
+      std::make_unique<const TaskChain>(ParseChain(request.chain_text));
   const MachineConfig machine = ParseMachine(request.machine_text);
 
   MapRequest mr;
-  mr.chain = &chain;
+  mr.chain = solved.chain.get();
   mr.machine = machine;
   mr.total_procs = request.procs > 0 ? request.procs : machine.total_procs();
   mr.options.num_threads = request.threads;
@@ -710,16 +722,18 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   if (outcome->degraded) ApplyBrownout(&mr);
 
   // One Evaluator per request: the engine keys and solves with it, and
-  // MakeFeasible reuses it.
-  const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
-                       request.threads);
-  mr.eval = &eval;
-  const MapResponse response = engine_->Map(mr);
-  const Mapping mapping =
-      FeasibilityChecker(machine).MakeFeasible(response.mapping, eval);
+  // MakeFeasible and the report reuse it.
+  solved.eval = std::make_unique<const Evaluator>(
+      *solved.chain, mr.total_procs, machine.node_memory_bytes,
+      request.threads);
+  mr.eval = solved.eval.get();
+  solved.response = engine_->Map(mr);
+  solved.mapping = FeasibilityChecker(machine).MakeFeasible(
+      solved.response.mapping, *solved.eval);
 
-  const bool deadline_expired = response.timed_out || response.budget_exhausted;
-  if (deadline_expired) {
+  const MapResponse& response = solved.response;
+  outcome->timed_out = response.timed_out || response.budget_exhausted;
+  if (outcome->timed_out) {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.timed_out;
   }
@@ -727,7 +741,14 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   outcome->cache_hit = response.cache_hit;
   outcome->cache_tier = response.cache_tier;
   outcome->shared_solve = response.shared_solve;
-  outcome->timed_out = deadline_expired;
+  return solved;
+}
+
+std::string PipemapServer::HandleMap(const ServerRequest& request,
+                                     double budget_s,
+                                     RequestOutcome* outcome) {
+  const Solved solved = Solve(request, "map", budget_s, outcome);
+  const MapResponse& response = solved.response;
 
   JsonWriter w;
   w.BeginObject();
@@ -735,7 +756,7 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   w.Key("op").String("map");
   w.Key("degraded").Bool(outcome->degraded);
   w.Key("trace_id").String(FormatTraceId(request.trace_id));
-  w.Key("mapping").String(SerializeMapping(mapping));
+  w.Key("mapping").String(SerializeMapping(solved.mapping));
   w.Key("objective_value").Double(response.objective_value);
   w.Key("throughput").Double(response.throughput);
   w.Key("latency").Double(response.latency);
@@ -746,7 +767,7 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   w.Key("shared_solve").Bool(response.shared_solve);
   w.Key("timed_out").Bool(response.timed_out);
   w.Key("budget_exhausted").Bool(response.budget_exhausted);
-  w.Key("deadline_expired").Bool(deadline_expired);
+  w.Key("deadline_expired").Bool(outcome->timed_out);
   w.Key("solve_seconds").Double(response.solve_seconds);
   w.EndObject();
   return w.str();
@@ -782,52 +803,18 @@ std::string PipemapServer::HandleSimulate(const ServerRequest& request) {
 std::string PipemapServer::HandleReport(const ServerRequest& request,
                                         double budget_s,
                                         RequestOutcome* outcome) {
-  if (!request.has_chain || !request.has_machine) {
-    throw InvalidArgument("op report needs chain and machine sections");
-  }
-  const TaskChain chain = ParseChain(request.chain_text);
-  const MachineConfig machine = ParseMachine(request.machine_text);
-
-  MapRequest mr;
-  mr.chain = &chain;
-  mr.machine = machine;
-  mr.total_procs = request.procs > 0 ? request.procs : machine.total_procs();
-  mr.options.num_threads = request.threads;
-  mr.use_cache = request.use_cache;
-  mr.time_budget_s = budget_s;
-  mr.trace_id = request.trace_id;
-  ApplySolverPolicy(request.objective, request.algorithm, request.floor, &mr);
-  if (outcome->degraded) ApplyBrownout(&mr);
-
-  // One Evaluator per request: the engine keys and solves with it, and
-  // MakeFeasible reuses it.
-  const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
-                       request.threads);
-  mr.eval = &eval;
-  const MapResponse response = engine_->Map(mr);
-  const Mapping mapping =
-      FeasibilityChecker(machine).MakeFeasible(response.mapping, eval);
+  const Solved solved = Solve(request, "report", budget_s, outcome);
 
   const SimOptions options = BuildSimOptions(request);
-  const SimResult result = PipelineSimulator(chain).Run(mapping, options);
-  const BottleneckAttribution attribution =
-      AttributeBottleneck(eval, mapping, result, options.num_datasets);
+  const SimResult result =
+      PipelineSimulator(*solved.chain).Run(solved.mapping, options);
+  const BottleneckAttribution attribution = AttributeBottleneck(
+      *solved.eval, solved.mapping, result, options.num_datasets);
 
   RunReportOptions report_options;
   report_options.num_datasets = options.num_datasets;
-  const std::string report =
-      BuildRunReportJson(eval, mapping, result, attribution, report_options);
-
-  const bool deadline_expired = response.timed_out || response.budget_exhausted;
-  if (deadline_expired) {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.timed_out;
-  }
-  outcome->solver = response.solver;
-  outcome->cache_hit = response.cache_hit;
-  outcome->cache_tier = response.cache_tier;
-  outcome->shared_solve = response.shared_solve;
-  outcome->timed_out = deadline_expired;
+  const std::string report = BuildRunReportJson(
+      *solved.eval, solved.mapping, result, attribution, report_options);
 
   JsonWriter w;
   w.BeginObject();
@@ -835,8 +822,8 @@ std::string PipemapServer::HandleReport(const ServerRequest& request,
   w.Key("op").String("report");
   w.Key("degraded").Bool(outcome->degraded);
   w.Key("trace_id").String(FormatTraceId(request.trace_id));
-  w.Key("solver").String(response.solver);
-  w.Key("timed_out").Bool(deadline_expired);
+  w.Key("solver").String(solved.response.solver);
+  w.Key("timed_out").Bool(outcome->timed_out);
   w.Key("report").Raw(report);
   w.EndObject();
   return w.str();

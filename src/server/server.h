@@ -226,6 +226,11 @@ class PipemapServer {
   std::string DispatchRequest(const ServerRequest& request,
                               double remaining_budget_s,
                               RequestOutcome* outcome);
+  /// The map and report ops' shared solve: parse, map on one Evaluator
+  /// (brownout applied), MakeFeasible, record `outcome` and the counters.
+  struct Solved;
+  Solved Solve(const ServerRequest& request, const char* op, double budget_s,
+               RequestOutcome* outcome);
   std::string HandleMap(const ServerRequest& request, double budget_s,
                         RequestOutcome* outcome);
   std::string HandleSimulate(const ServerRequest& request);

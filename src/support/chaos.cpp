@@ -157,8 +157,9 @@ void ChaosInjector::Configure(const ChaosSpec& spec) {
 }
 
 void ChaosInjector::Reset() {
+  // Atomics only: the spec stays behind unread (every reader checks
+  // enabled_ first), so a reset never races a seam crossing.
   enabled_.store(false, std::memory_order_release);
-  spec_ = ChaosSpec{};
   for (int s = 0; s < kChaosSeamCount; ++s) {
     draw_counters_[s].store(0, std::memory_order_relaxed);
     injected_[s].store(0, std::memory_order_relaxed);

@@ -91,11 +91,12 @@ class ChaosInjector {
  public:
   static ChaosInjector& Global();
 
-  /// Arms the injector with `spec`. Call before traffic starts (the
-  /// daemon does it during flag parsing); re-configuring mid-flight is a
-  /// test-only affordance.
+  /// Arms the injector with `spec`. Call only while no thread crosses a
+  /// seam: before traffic starts (the daemon does it during flag parsing,
+  /// a test before its server starts).
   void Configure(const ChaosSpec& spec);
-  /// Disarms every seam and zeroes counters — the test-suite seam.
+  /// Disarms every seam and zeroes counters — the test-suite seam. Touches
+  /// only atomics, so it is safe while seams are being crossed.
   void Reset();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

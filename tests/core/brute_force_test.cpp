@@ -51,7 +51,8 @@ TEST(BruteForceTest, RespectsProcPredicate) {
   const TaskChain chain = BuildChain({TaskSpec{0.0, 1.0, 0.0, 1, false}}, {});
   const Evaluator eval(chain, 7, kTestNodeMemory);
   BruteForceOptions options;
-  options.base.proc_feasible = [](int p) { return p <= 3; };
+  options.base.proc_feasible =
+      testing::TableOf(7, [](int p) { return p <= 3; });
   const MapResult result = BruteForceMapper(options).Map(eval, 7);
   EXPECT_LE(result.mapping.modules[0].procs_per_instance, 3);
 }

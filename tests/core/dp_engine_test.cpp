@@ -6,10 +6,12 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 
 #include "core/dp_mapper.h"
+#include "core/latency_mapper.h"
 #include "machine/feasible.h"
 #include "support/error.h"
 #include "support/metrics.h"
@@ -30,7 +32,7 @@ TEST(LatencyConfigTest, NoCapPicksWidestSingleInstance) {
   // Monotone-decreasing body: the whole budget in one instance.
   const TaskChain chain = BuildChain({TaskSpec{0.0, 8.0, 0.0, 1, true}}, {});
   const Evaluator eval(chain, 16, kTestNodeMemory);
-  const ModuleConfig cfg = LatencyConfig(eval, 0, 0, 10, kInf, nullptr);
+  const ModuleConfig cfg = LatencyConfig(eval, 0, 0, 10, kInf, {});
   ASSERT_TRUE(cfg.valid);
   EXPECT_EQ(cfg.replicas, 1);
   EXPECT_EQ(cfg.procs, 10);
@@ -42,7 +44,7 @@ TEST(LatencyConfigTest, CapForcesReplication) {
   // r = 8 singles give 9/8 ~ 1.125 <= 1.2.
   const TaskChain chain = BuildChain({TaskSpec{1.0, 8.0, 0.0, 1, true}}, {});
   const Evaluator eval(chain, 16, kTestNodeMemory);
-  const ModuleConfig cfg = LatencyConfig(eval, 0, 0, 8, 1.2, nullptr);
+  const ModuleConfig cfg = LatencyConfig(eval, 0, 0, 8, 1.2, {});
   ASSERT_TRUE(cfg.valid);
   EXPECT_EQ(cfg.replicas, 8);
   EXPECT_EQ(cfg.procs, 1);
@@ -54,7 +56,7 @@ TEST(LatencyConfigTest, PrefersSmallBodyAmongCapSatisfiers) {
   // slack (at no latency cost).
   const TaskChain chain = BuildChain({TaskSpec{1.0, 8.0, 0.0, 2, true}}, {});
   const Evaluator eval(chain, 16, kTestNodeMemory);
-  const ModuleConfig cfg = LatencyConfig(eval, 0, 0, 8, 100.0, nullptr);
+  const ModuleConfig cfg = LatencyConfig(eval, 0, 0, 8, 100.0, {});
   ASSERT_TRUE(cfg.valid);
   EXPECT_EQ(cfg.procs, 8);
   EXPECT_EQ(cfg.replicas, 1);
@@ -64,13 +66,14 @@ TEST(LatencyConfigTest, UnsatisfiableCapIsInvalid) {
   const TaskChain chain = BuildChain({TaskSpec{1.0, 0.0, 0.0, 1, false}}, {});
   const Evaluator eval(chain, 8, kTestNodeMemory);
   // Non-replicable, body = 1 always, cap 0.5: impossible.
-  EXPECT_FALSE(LatencyConfig(eval, 0, 0, 8, 0.5, nullptr).valid);
+  EXPECT_FALSE(LatencyConfig(eval, 0, 0, 8, 0.5, {}).valid);
 }
 
 TEST(LatencyConfigTest, RespectsFeasibilityPredicate) {
   const TaskChain chain = BuildChain({TaskSpec{0.0, 8.0, 0.0, 2, true}}, {});
   const Evaluator eval(chain, 16, kTestNodeMemory);
-  const ProcPredicate odd_only = [](int p) { return p % 2 == 1; };
+  const FeasibleProcs odd_only =
+      testing::TableOf(16, [](int p) { return p % 2 == 1; });
   const ModuleConfig cfg = LatencyConfig(eval, 0, 0, 8, kInf, odd_only);
   ASSERT_TRUE(cfg.valid);
   EXPECT_EQ(cfg.procs % 2, 1);
@@ -80,7 +83,7 @@ TEST(LatencyConfigTest, RespectsFeasibilityPredicate) {
 TEST(LatencyConfigTest, BudgetBelowMinimumInvalid) {
   const TaskChain chain = BuildChain({TaskSpec{0.0, 1.0, 0.0, 4, true}}, {});
   const Evaluator eval(chain, 8, kTestNodeMemory);
-  EXPECT_FALSE(LatencyConfig(eval, 0, 0, 3, kInf, nullptr).valid);
+  EXPECT_FALSE(LatencyConfig(eval, 0, 0, 3, kInf, {}).valid);
 }
 
 TEST(DpEngineTest, ObjectivesDisagreeWhenTheyShould) {
@@ -325,6 +328,61 @@ TEST(DpEngineTest, WarmStartRebuildsWhenEvaluatorChanges) {
   problem.eval = &eval_b;
   EXPECT_FALSE(RunChainDp(problem).reused_tables);
   EXPECT_EQ(warm->tables_built, 2u);
+}
+
+TEST(DpEngineTest, WarmStateSharedAcrossFeasibilityTablesMatchesCold) {
+  // One warm state serves a throughput DP and a latency DP under odd
+  // counts, then both again under powers of two. The range tables, sweep
+  // and incumbent left by the first table must not shape the second
+  // pair's answers: each equals its cold solve byte for byte.
+  constexpr int kProcs = 24;
+  const FeasibleProcs odd =
+      pipemap::testing::TableOf(kProcs, [](int p) { return p % 2 == 1; });
+  const FeasibleProcs pow2 = pipemap::testing::TableOf(
+      kProcs, [](int p) { return (p & (p - 1)) == 0; });
+  int solved = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    workloads::SyntheticSpec spec;
+    spec.num_tasks = 5;
+    spec.machine_procs = kProcs;
+    const Workload w = workloads::MakeSynthetic(spec, seed);
+    const Evaluator eval(w.chain, kProcs, w.machine.node_memory_bytes);
+    MapperOptions options;
+    options.num_threads = 1;
+    options.warm = std::make_shared<WarmStartState>();
+    options.incremental = true;
+    for (const FeasibleProcs* table : {&odd, &pow2}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (table == &odd ? " odd" : " pow2"));
+      options.proc_feasible = *table;
+      MapperOptions cold = options;
+      cold.warm = nullptr;
+      cold.incremental = false;
+
+      MapResult cold_dp;
+      try {
+        cold_dp = DpMapper(cold).Map(eval, kProcs);
+      } catch (const Infeasible&) {
+        EXPECT_THROW(DpMapper(options).Map(eval, kProcs), Infeasible);
+        continue;
+      }
+      const MapResult warm_dp = DpMapper(options).Map(eval, kProcs);
+      EXPECT_EQ(warm_dp.mapping, cold_dp.mapping);
+      EXPECT_EQ(warm_dp.throughput, cold_dp.throughput);
+      for (const ModuleAssignment& m : warm_dp.mapping.modules) {
+        EXPECT_TRUE(table->Admits(m.procs_per_instance));
+      }
+
+      const LatencyResult cold_lat =
+          LatencyMapper(cold).MinLatency(eval, kProcs);
+      const LatencyResult warm_lat =
+          LatencyMapper(options).MinLatency(eval, kProcs);
+      EXPECT_EQ(warm_lat.mapping, cold_lat.mapping);
+      EXPECT_EQ(warm_lat.latency, cold_lat.latency);
+      if (table == &pow2) ++solved;
+    }
+  }
+  EXPECT_GE(solved, 20);  // the second table is exercised, not skipped
 }
 
 /// A daemon-shaped cold solve: a synthetic k-task chain on P processors

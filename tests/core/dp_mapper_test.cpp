@@ -81,7 +81,8 @@ TEST(DpMapperTest, ProcPredicateRestrictsInstanceSizes) {
   const TaskChain chain = testing::SmallChain();
   const Evaluator eval(chain, 12, kTestNodeMemory);
   MapperOptions options;
-  options.proc_feasible = [](int p) { return p % 2 == 0; };
+  options.proc_feasible =
+      testing::TableOf(12, [](int p) { return p % 2 == 0; });
   const MapResult result = DpMapper(options).Map(eval, 12);
   for (const ModuleAssignment& m : result.mapping.modules) {
     EXPECT_EQ(m.procs_per_instance % 2, 0);
@@ -133,7 +134,9 @@ TEST(DpMapperTest, MoreProcessorsNeverHurt) {
 
 // The central correctness property: the dynamic program matches exhaustive
 // search over clustering x budgets x (policy-derived) replication on random
-// chains small enough to enumerate.
+// chains small enough to enumerate, under every comparison feasibility
+// table. Every instance has a mapping under the table that admits every
+// count; a restricted table may leave none, and then both must say so.
 struct DpVsBruteCase {
   int seed;
   int num_tasks;
@@ -154,16 +157,32 @@ TEST_P(DpVsBruteForce, DpIsOptimal) {
   const Workload w = workloads::MakeSynthetic(spec, c.seed);
   const Evaluator eval(w.chain, c.procs, w.machine.node_memory_bytes);
 
-  MapperOptions options;
-  options.replication = c.policy;
-  BruteForceOptions bf_options;
-  bf_options.base = options;
+  const std::vector<FeasibleProcs> tables =
+      testing::ComparisonTables(c.procs);
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    SCOPED_TRACE("table " + std::to_string(t));
+    MapperOptions options;
+    options.replication = c.policy;
+    options.proc_feasible = tables[t];
+    BruteForceOptions bf_options;
+    bf_options.base = options;
 
-  const MapResult dp = DpMapper(options).Map(eval, c.procs);
-  const MapResult bf = BruteForceMapper(bf_options).Map(eval, c.procs);
-  EXPECT_NEAR(dp.throughput, bf.throughput, 1e-9 * bf.throughput)
-      << "dp: " << dp.mapping.ToString(w.chain)
-      << "\nbf: " << bf.mapping.ToString(w.chain);
+    MapResult bf;
+    try {
+      bf = BruteForceMapper(bf_options).Map(eval, c.procs);
+    } catch (const Infeasible&) {
+      if (t == 0) throw;
+      EXPECT_THROW(DpMapper(options).Map(eval, c.procs), Infeasible);
+      continue;
+    }
+    const MapResult dp = DpMapper(options).Map(eval, c.procs);
+    EXPECT_NEAR(dp.throughput, bf.throughput, 1e-9 * bf.throughput)
+        << "dp: " << dp.mapping.ToString(w.chain)
+        << "\nbf: " << bf.mapping.ToString(w.chain);
+    for (const ModuleAssignment& m : dp.mapping.modules) {
+      EXPECT_TRUE(tables[t].Admits(m.procs_per_instance));
+    }
+  }
 }
 
 std::vector<DpVsBruteCase> DpVsBruteCases() {

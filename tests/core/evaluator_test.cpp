@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "core/mapper.h"
 #include "support/error.h"
 #include "../test_util.h"
 
@@ -81,7 +85,7 @@ TEST(EvaluatorTest, ConfigureModuleNonePolicy) {
   const TaskChain chain = testing::SmallChain();
   const Evaluator eval = MakeEval(chain);
   const ModuleConfig cfg =
-      eval.ConfigureModule(0, 0, 7, ReplicationPolicy::kNone);
+      ConfigureConstrained(eval, 0, 0, 7, ReplicationPolicy::kNone, {});
   EXPECT_TRUE(cfg.valid);
   EXPECT_EQ(cfg.replicas, 1);
   EXPECT_EQ(cfg.procs, 7);
@@ -90,8 +94,8 @@ TEST(EvaluatorTest, ConfigureModuleNonePolicy) {
 TEST(EvaluatorTest, ConfigureModuleMaximalReplication) {
   const TaskChain chain = BuildChain({TaskSpec{0, 1, 0, 3}}, {});
   const Evaluator eval = MakeEval(chain);
-  const ModuleConfig cfg =
-      eval.ConfigureModule(0, 0, 11, ReplicationPolicy::kMaximal);
+  const ModuleConfig cfg = ConfigureConstrained(
+      eval, 0, 0, 11, ReplicationPolicy::kMaximal, {});
   EXPECT_TRUE(cfg.valid);
   EXPECT_EQ(cfg.replicas, 3);  // floor(11 / 3)
   EXPECT_EQ(cfg.procs, 3);     // floor(11 / 3)
@@ -100,8 +104,9 @@ TEST(EvaluatorTest, ConfigureModuleMaximalReplication) {
 TEST(EvaluatorTest, ConfigureModuleBelowMinimumIsInvalid) {
   const TaskChain chain = BuildChain({TaskSpec{0, 1, 0, 3}}, {});
   const Evaluator eval = MakeEval(chain);
-  EXPECT_FALSE(eval.ConfigureModule(0, 0, 2, ReplicationPolicy::kMaximal)
-                   .valid);
+  EXPECT_FALSE(
+      ConfigureConstrained(eval, 0, 0, 2, ReplicationPolicy::kMaximal, {})
+          .valid);
 }
 
 TEST(EvaluatorTest, ConfigureModuleNonReplicableIgnoresPolicy) {
@@ -109,7 +114,7 @@ TEST(EvaluatorTest, ConfigureModuleNonReplicableIgnoresPolicy) {
       BuildChain({TaskSpec{0, 1, 0, 1, false}}, {});
   const Evaluator eval = MakeEval(chain);
   const ModuleConfig cfg =
-      eval.ConfigureModule(0, 0, 8, ReplicationPolicy::kMaximal);
+      ConfigureConstrained(eval, 0, 0, 8, ReplicationPolicy::kMaximal, {});
   EXPECT_EQ(cfg.replicas, 1);
   EXPECT_EQ(cfg.procs, 8);
 }
@@ -121,7 +126,7 @@ TEST(EvaluatorTest, ConfigureModuleSearchPicksBestEffectiveBody) {
   const TaskChain chain = BuildChain({TaskSpec{1.0, 10.0, 0.0, 1}}, {});
   const Evaluator eval = MakeEval(chain);
   const ModuleConfig cfg =
-      eval.ConfigureModule(0, 0, 8, ReplicationPolicy::kSearch);
+      ConfigureConstrained(eval, 0, 0, 8, ReplicationPolicy::kSearch, {});
   EXPECT_TRUE(cfg.valid);
   // (1 + 10/1)/8 = 1.375 beats (1 + 10/8)/1 = 2.25 and intermediates.
   EXPECT_EQ(cfg.replicas, 8);
@@ -136,11 +141,55 @@ TEST(EvaluatorTest, ConfigureModuleSearchAvoidsReplicationWhenOverheadHigh) {
   const TaskChain chain = BuildChain({TaskSpec{1.0, 0.0, 0.0, 2}}, {});
   const Evaluator eval = MakeEval(chain);
   const ModuleConfig search =
-      eval.ConfigureModule(0, 0, 9, ReplicationPolicy::kSearch);
+      ConfigureConstrained(eval, 0, 0, 9, ReplicationPolicy::kSearch, {});
   const ModuleConfig maximal =
-      eval.ConfigureModule(0, 0, 9, ReplicationPolicy::kMaximal);
+      ConfigureConstrained(eval, 0, 0, 9, ReplicationPolicy::kMaximal, {});
   EXPECT_EQ(search.replicas, maximal.replicas);
   EXPECT_EQ(search.procs, maximal.procs);
+}
+
+TEST(FeasibleProcsTest, AtMostIsTheLargestAdmittedCountBelow) {
+  const FeasibleProcs table({6, 3, 10});
+  EXPECT_EQ(table.AtMost(0), 0);
+  EXPECT_EQ(table.AtMost(-5), 0);
+  EXPECT_EQ(table.AtMost(2), 0);  // below the first admitted count
+  EXPECT_EQ(table.AtMost(3), 3);
+  EXPECT_EQ(table.AtMost(5), 3);  // between two counts
+  EXPECT_EQ(table.AtMost(6), 6);
+  EXPECT_EQ(table.AtMost(9), 6);
+  EXPECT_EQ(table.AtMost(10), 10);
+  EXPECT_EQ(table.AtMost(1000), 10);  // above the last
+  EXPECT_FALSE(table.Admits(0));
+  EXPECT_FALSE(table.Admits(5));
+  EXPECT_TRUE(table.Admits(6));
+  EXPECT_FALSE(table.Admits(11));
+
+  const FeasibleProcs none{std::vector<int>{}};
+  EXPECT_EQ(none.AtMost(7), 0);
+  EXPECT_FALSE(none.Admits(1));
+}
+
+TEST(FeasibleProcsTest, DefaultAdmitsEveryCount) {
+  const FeasibleProcs all;
+  EXPECT_FALSE(all.Admits(0));
+  EXPECT_EQ(all.AtMost(0), 0);
+  for (int p = 1; p <= 4096; ++p) {
+    ASSERT_TRUE(all.Admits(p)) << p;
+    ASSERT_EQ(all.AtMost(p), p);
+  }
+  EXPECT_EQ(all.AtMost(std::numeric_limits<int>::max()),
+            std::numeric_limits<int>::max());
+}
+
+TEST(FeasibleProcsTest, EqualityDependsOnlyOnTheAdmittedCounts) {
+  EXPECT_EQ(FeasibleProcs({1, 2, 4}), FeasibleProcs({4, 2, 1, 2}));
+  EXPECT_NE(FeasibleProcs({1, 2, 4}), FeasibleProcs({1, 2, 5}));
+  EXPECT_NE(FeasibleProcs({1, 2, 4}), FeasibleProcs({1, 2, 4, 8}));
+  EXPECT_NE(FeasibleProcs({1, 2, 4}), FeasibleProcs());
+  EXPECT_EQ(FeasibleProcs{std::vector<int>{}},
+            FeasibleProcs{std::vector<int>{}});
+  EXPECT_NE(FeasibleProcs{std::vector<int>{}}, FeasibleProcs());
+  EXPECT_EQ(FeasibleProcs(), FeasibleProcs());
 }
 
 TEST(EvaluatorTest, InstanceResponseComposesCommAndBody) {

@@ -94,7 +94,8 @@ TEST(GreedyMapperTest, MinBudgetSearchIsLogarithmicInProcessors) {
 
   MetricsRegistry::Global().Reset();
   GreedyOptions options;
-  options.base.proc_feasible = [](int p) { return p >= 37; };
+  options.base.proc_feasible =
+      testing::TableOf(256, [](int p) { return p >= 37; });
   options.base.observe = true;
   const MapResult result = GreedyMapper(options).Map(eval, 256);
   EXPECT_GE(result.mapping.modules[0].procs_per_instance, 37);

@@ -97,7 +97,8 @@ TEST_P(MapperInvariants, FeasibilityPredicateNeverHelpsWithoutReplication) {
   MapperOptions free, constrained;
   free.replication = ReplicationPolicy::kNone;
   constrained.replication = ReplicationPolicy::kNone;
-  constrained.proc_feasible = [](int p) { return p % 2 == 1 || p % 4 == 0; };
+  constrained.proc_feasible = testing::TableOf(
+      16, [](int p) { return p % 2 == 1 || p % 4 == 0; });
   const double t_free = DpMapper(free).Map(eval, 16).throughput;
   double t_constrained = 0.0;
   try {

@@ -165,9 +165,10 @@ TEST(FrontierTest, EachPointSatisfiesItsOwnThroughput) {
 }
 
 // Exact-reference properties: the pure latency DP matches exhaustive
-// search; the throughput-constrained mode (a union of two exact
-// configuration families) never beats the true optimum and rarely trails
-// it.
+// search (under every comparison feasibility table; only a restricted one
+// may leave no mapping, and then both must say so); the
+// throughput-constrained mode (a union of two exact configuration
+// families) never beats the true optimum and rarely trails it.
 class LatencyVsBrute : public ::testing::TestWithParam<int> {};
 
 TEST_P(LatencyVsBrute, PureLatencyDpIsExact) {
@@ -178,11 +179,27 @@ TEST_P(LatencyVsBrute, PureLatencyDpIsExact) {
   spec.memory_tightness = 0.25;
   const Workload w = workloads::MakeSynthetic(spec, 7100 + GetParam());
   const Evaluator eval(w.chain, 8, w.machine.node_memory_bytes);
-  const LatencyResult dp = LatencyMapper().MinLatency(eval, 8);
-  const LatencyBruteResult brute = BruteForceMinLatency(eval, 8);
-  EXPECT_NEAR(dp.latency, brute.latency, 1e-9 * brute.latency)
-      << "dp: " << dp.mapping.ToString(w.chain)
-      << "\nbrute: " << brute.mapping.ToString(w.chain);
+  const std::vector<FeasibleProcs> tables = testing::ComparisonTables(8);
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    SCOPED_TRACE("table " + std::to_string(t));
+    MapperOptions options;
+    options.proc_feasible = tables[t];
+    BruteForceOptions brute_options;
+    brute_options.base = options;
+
+    LatencyBruteResult brute;
+    try {
+      brute = BruteForceMinLatency(eval, 8, 0.0, brute_options);
+    } catch (const Infeasible&) {
+      if (t == 0) throw;
+      EXPECT_THROW(LatencyMapper(options).MinLatency(eval, 8), Infeasible);
+      continue;
+    }
+    const LatencyResult dp = LatencyMapper(options).MinLatency(eval, 8);
+    EXPECT_NEAR(dp.latency, brute.latency, 1e-9 * brute.latency)
+        << "dp: " << dp.mapping.ToString(w.chain)
+        << "\nbrute: " << brute.mapping.ToString(w.chain);
+  }
 }
 
 TEST_P(LatencyVsBrute, ConstrainedModeIsSoundAndNearExact) {

@@ -104,7 +104,7 @@ TEST(CacheEntryFormatTest, RejectsMalformedEntries) {
 
   // Wrong version magic.
   std::string wrong_magic = bytes;
-  wrong_magic[wrong_magic.find("v2") + 1] = '1';
+  wrong_magic[wrong_magic.find("v3") + 1] = '2';
   EXPECT_FALSE(DecodeCacheEntry(key, wrong_magic));
 
   // The file's fingerprint must match the key it is looked up under — a

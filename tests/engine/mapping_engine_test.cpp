@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/latency_mapper.h"
 #include "costmodel/cost_function.h"
@@ -273,20 +274,78 @@ TEST(MappingEngineTest, FingerprintSeparatesProblems) {
   EXPECT_EQ(engine.Fingerprint(threaded), fp);
 }
 
-TEST(MappingEngineTest, CustomPredicateBypassesCache) {
+TEST(MappingEngineTest, CustomFeasibilityTableIsCached) {
   const TaskChain chain = ThreeTaskChain();
   MappingEngine engine;
 
+  // A caller's table is keyed like the machine's: the second Map is a
+  // memory hit with the same mapping.
   MapRequest request = RequestFor(chain, SmallMachine());
-  request.options.proc_feasible = [](int p) { return p <= 2; };
-  EXPECT_EQ(engine.Fingerprint(request), 0u);
-
+  request.options.proc_feasible = FeasibleProcs({1, 2});
+  const std::uint64_t key = engine.Fingerprint(request);
+  EXPECT_NE(key, 0u);
   const MapResponse first = engine.Map(request);
-  EXPECT_FALSE(first.cacheable);
+  EXPECT_TRUE(first.cacheable);
+  EXPECT_FALSE(first.cache_hit);
+  for (const ModuleAssignment& m : first.mapping.modules) {
+    EXPECT_LE(m.procs_per_instance, 2);
+  }
   const MapResponse second = engine.Map(request);
-  EXPECT_FALSE(second.cache_hit);
-  const SolutionCacheStats stats = engine.cache().stats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.inserts, 0u);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.cache_tier, "memory");
+  EXPECT_EQ(second.fingerprint, key);
+  EXPECT_EQ(SerializeMapping(second.mapping),
+            SerializeMapping(first.mapping));
+
+  // Changing one admitted count moves the key.
+  MapRequest moved = request;
+  moved.options.proc_feasible = FeasibleProcs({1, 3});
+  EXPECT_NE(engine.Fingerprint(moved), key);
+
+  // The machine's table, resolved by the engine or passed explicitly, is
+  // one key.
+  const MapRequest resolved = RequestFor(chain, SmallMachine());
+  MapRequest explicit_table = resolved;
+  explicit_table.options.proc_feasible =
+      FeasibilityChecker(resolved.machine).ProcCountPredicate();
+  EXPECT_EQ(engine.Fingerprint(explicit_table), engine.Fingerprint(resolved));
+
+  // Every count is a rectangle of a 1xP grid, so there machine
+  // feasibility on and off present the solvers with one problem.
+  MapRequest row = RequestFor(chain, SmallMachine());
+  row.machine.grid_rows = 1;
+  row.machine.grid_cols = 16;
+  MapRequest unconstrained = row;
+  unconstrained.machine_feasibility = false;
+  EXPECT_EQ(engine.Fingerprint(unconstrained), engine.Fingerprint(row));
+}
+
+TEST(MappingEngineTest, MachineTableOnAHugeGridIsBoundedByTheBudget) {
+  const TaskChain chain = ThreeTaskChain();
+  MappingEngine engine;
+  // The machine's table is resolved over 1..procs only, so grids whose
+  // area overflows int, or would take gigabytes to tabulate, cost what an
+  // 8-processor budget costs. Every count up to 8 is a 1 x p or p x 1
+  // rectangle there, so machine feasibility on and off are one problem.
+  const int kMaxInt = std::numeric_limits<int>::max();
+  for (const auto& [rows, cols] :
+       {std::pair{65536, 65537}, std::pair{1, kMaxInt},
+        std::pair{kMaxInt, 1}, std::pair{40000, 50000}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    MapRequest request = RequestFor(chain, SmallMachine());
+    request.machine.grid_rows = rows;
+    request.machine.grid_cols = cols;
+    request.total_procs = 8;
+    const MapResponse response = engine.Map(request);
+    EXPECT_TRUE(response.cacheable);
+    EXPECT_TRUE(response.mapping.IsValidFor(chain.size()));
+    EXPECT_LE(response.mapping.TotalProcs(), 8);
+    MapRequest unconstrained = request;
+    unconstrained.machine_feasibility = false;
+    EXPECT_EQ(engine.Fingerprint(unconstrained), response.fingerprint);
+    EXPECT_FALSE(engine.Frontier(request, 3).empty());
+    EXPECT_LE(engine.MinProcs(request, 0.5 * response.throughput).procs, 8);
+  }
 }
 
 TEST(MappingEngineTest, TinyTimeBudgetStopsAfterGreedyAndIsNotCached) {

@@ -1,6 +1,6 @@
 // The engine's request key (engine/fingerprint.h): sensitivity to every
 // cost-table bit, stability across thread counts and processes, and the
-// disk tier's handling of entries from the older text-keyed format.
+// disk tier's handling of entries from an older key format.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/warm_start.h"
 #include "costmodel/cost_function.h"
@@ -153,6 +154,29 @@ TEST(RequestKeyTest, EveryKeyedOptionFieldMovesTheKey) {
   EXPECT_EQ(keys.size(), 12u);
 }
 
+TEST(RequestKeyTest, KeyDependsOnlyOnTheAdmittedCounts) {
+  // The key folds which counts in 1..P the resolved table admits — what
+  // the solvers read — and nothing else about the table.
+  const TaskChain chain = testing::SmallChain();
+  MapRequest request;
+  request.chain = &chain;
+  request.machine = Machine(2, 4);  // P = 8
+  request.options.num_threads = 1;
+  MappingEngine engine;
+  const auto key_with = [&](const FeasibleProcs& table) {
+    MapRequest variant = request;
+    variant.options.proc_feasible = table;
+    return engine.Fingerprint(variant);
+  };
+  const std::uint64_t key = key_with(FeasibleProcs({1, 2, 4}));
+  ASSERT_NE(key, 0u);
+  EXPECT_EQ(key_with(FeasibleProcs({4, 2, 1, 2})), key);
+  EXPECT_EQ(key_with(FeasibleProcs({1, 2, 4, 9, 64})), key);  // above P
+  EXPECT_NE(key_with(FeasibleProcs({1, 2, 4, 8})), key);
+  EXPECT_NE(key_with(FeasibleProcs({1, 4})), key);
+  EXPECT_NE(key_with(FeasibleProcs{std::vector<int>{}}), key);
+}
+
 TEST(RequestKeyTest, ExecutionKnobsDoNotMoveTheKey) {
   // Threads, observation, warm-start state, incremental capture and
   // deadlines cannot change a cacheable answer, so they stay out of the
@@ -215,15 +239,17 @@ TEST(RequestKeyTest, KeyIsTheSameInAnotherProcess) {
 
   // And in every process that ever ran this test: keys name disk entries
   // a restarted daemon must find again. Changing the key's layout
-  // orphans every cache directory, so it comes with a format bump.
+  // orphans every cache directory, so it comes with a format bump. v3
+  // folds the counts the resolved feasibility table admits where v2
+  // folded the machine_feasibility flag.
   const TaskChain poly = testing::SmallChain();
-  EXPECT_EQ(FingerprintHex(KeyOf(poly, machine, 1)), "75bb7dddc3bf82b2");
+  EXPECT_EQ(FingerprintHex(KeyOf(poly, machine, 1)), "2275bcc9b145ca52");
 }
 
-TEST(RequestKeyTest, V1EntryUnderAV2KeyIsAMissAndIsOverwritten) {
+TEST(RequestKeyTest, V2EntryUnderAV3KeyIsAMissAndIsOverwritten) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) /
-      ("pipemap_request_key_v1_" + std::to_string(::getpid()));
+      ("pipemap_request_key_v2_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   const TaskChain chain = testing::SmallChain();
   MapRequest request;
@@ -240,11 +266,11 @@ TEST(RequestKeyTest, V1EntryUnderAV2KeyIsAMissAndIsOverwritten) {
   stale.mapping_text = "not this problem's mapping\n";
   stale.solver = "dp";
   stale.exact = true;
-  std::string v1 = EncodeCacheEntry(key, stale);
-  ASSERT_EQ(v1.rfind("pipemap-cache v2\n", 0), 0u);
-  v1.replace(0, 16, "pipemap-cache v1");
+  std::string v2 = EncodeCacheEntry(key, stale);
+  ASSERT_EQ(v2.rfind("pipemap-cache v3\n", 0), 0u);
+  v2.replace(0, 16, "pipemap-cache v2");
   const std::filesystem::path file = dir / CacheEntryFileName(key);
-  std::ofstream(file, std::ios::binary) << v1;
+  std::ofstream(file, std::ios::binary) << v2;
 
   const MapResponse response = engine.Map(request);
   EXPECT_FALSE(response.cache_hit);
@@ -255,7 +281,7 @@ TEST(RequestKeyTest, V1EntryUnderAV2KeyIsAMissAndIsOverwritten) {
   EXPECT_EQ(stats.persist.errors, 0u);
   EXPECT_EQ(stats.persist.breaker_state, "closed");
 
-  // The solve's insert replaces the stale file with a v2 entry.
+  // The solve's insert replaces the stale file with a v3 entry.
   engine.cache().FlushPersistence();
   std::ifstream in(file, std::ios::binary);
   const std::string bytes((std::istreambuf_iterator<char>(in)),

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/dp_mapper.h"
+#include "machine/rect.h"
 #include "support/error.h"
 #include "../test_util.h"
 
@@ -19,11 +22,28 @@ MachineConfig SmallGrid(CommMode mode = CommMode::kMessage) {
 
 TEST(FeasibilityCheckerTest, ProcCountPredicateMatchesRectangles) {
   const FeasibilityChecker checker(SmallGrid());
-  const ProcPredicate pred = checker.ProcCountPredicate();
-  EXPECT_TRUE(pred(12));
-  EXPECT_FALSE(pred(13));
-  EXPECT_TRUE(pred(64));
-  EXPECT_FALSE(pred(11));
+  const FeasibleProcs table = checker.ProcCountPredicate();
+  EXPECT_TRUE(table.Admits(12));
+  EXPECT_FALSE(table.Admits(13));
+  EXPECT_TRUE(table.Admits(64));
+  EXPECT_FALSE(table.Admits(11));
+
+  // Every grid's table admits exactly its rectangles' areas, so a 2x5
+  // and a 5x2 grid have equal tables.
+  const std::pair<int, int> grids[] = {{1, 16}, {2, 5}, {5, 2}, {3, 7}};
+  for (const auto& [rows, cols] : grids) {
+    MachineConfig machine = SmallGrid();
+    machine.grid_rows = rows;
+    machine.grid_cols = cols;
+    const FeasibleProcs grid = FeasibilityChecker(machine).ProcCountPredicate();
+    for (int p = 1; p <= rows * cols + 8; ++p) {
+      EXPECT_EQ(grid.Admits(p), IsRectFeasible(p, rows, cols))
+          << rows << "x" << cols << " p=" << p;
+    }
+    if (rows * cols == 10) {
+      EXPECT_EQ(grid, FeasibleProcs({1, 2, 3, 4, 5, 6, 8, 10}));
+    }
+  }
 }
 
 TEST(FeasibilityCheckerTest, AcceptsPackableMapping) {
@@ -113,7 +133,7 @@ TEST(FeasibilityIntegrationTest, DpWithPredicateProducesFeasibleCounts) {
   options.proc_feasible = checker.ProcCountPredicate();
   const MapResult result = DpMapper(options).Map(eval, 64);
   for (const ModuleAssignment& m : result.mapping.modules) {
-    EXPECT_TRUE(checker.ProcCountPredicate()(m.procs_per_instance));
+    EXPECT_TRUE(checker.ProcCountPredicate().Admits(m.procs_per_instance));
   }
 }
 

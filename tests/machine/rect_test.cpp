@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "support/error.h"
 
 namespace pipemap {
@@ -48,6 +52,26 @@ TEST(RectTest, FeasibleProcCountsEightByEight) {
   EXPECT_EQ(std::find(counts.begin(), counts.end(), 11), counts.end());
   EXPECT_EQ(std::find(counts.begin(), counts.end(), 13), counts.end());
   EXPECT_EQ(counts.back(), 64);
+}
+
+TEST(RectTest, FeasibleProcCountsStopAtTheMaximum) {
+  EXPECT_EQ(FeasibleProcCounts(8, 8, 12),
+            (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}));
+  EXPECT_EQ(FeasibleProcCounts(8, 8, 100), FeasibleProcCounts(8, 8));
+  EXPECT_TRUE(FeasibleProcCounts(8, 8, 0).empty());
+  // Grids whose area overflows int, or would take gigabytes to tabulate,
+  // cost no more than the maximum: every count up to it is a 1 x p or
+  // p x 1 rectangle.
+  const std::vector<int> one_to_eight = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(FeasibleProcCounts(65536, 65537, 8), one_to_eight);
+  EXPECT_EQ(FeasibleProcCounts(1, std::numeric_limits<int>::max(), 8),
+            one_to_eight);
+  EXPECT_EQ(FeasibleProcCounts(std::numeric_limits<int>::max(), 1, 8),
+            one_to_eight);
+  EXPECT_EQ(FeasibleProcCounts(40000, 50000, 8), one_to_eight);
+  // 2 x 3: the table stops at the grid's area, below the maximum.
+  EXPECT_EQ(FeasibleProcCounts(2, 3, std::numeric_limits<int>::max()),
+            (std::vector<int>{1, 2, 3, 4, 6}));
 }
 
 TEST(RectTest, InvalidInputsThrow) {

@@ -292,28 +292,34 @@ TEST(ServerOverloadTest, IdleTimeoutReapsStalledConnections) {
 
 TEST(ServerOverloadTest, ChaosStormNeverProducesMalformedResponses) {
   ChaosGuard guard;
+  // Each storm is armed before its server starts (Configure must not race
+  // a seam crossing); Reset is safe while the server runs.
   // Every frame is treated as truncated: clients see dead connections,
   // never garbage.
   ChaosInjector::Global().Configure(
       ParseChaosSpec("seed=11,read_trunc=1"));
-  TestServer ts;
   {
+    TestServer ts;
+    {
+      ServerClient client = ts.Connect();
+      ServerRequest ping;
+      ping.op = "ping";
+      EXPECT_THROW(client.Call(ping), std::exception);
+    }
+    // Disarm: the server is healthy, new connections serve normally.
+    ChaosInjector::Global().Reset();
     ServerClient client = ts.Connect();
-    ServerRequest ping;
-    ping.op = "ping";
-    EXPECT_THROW(client.Call(ping), std::exception);
+    const std::string response =
+        client.Call(MapRequestFor(MakeProblem(4, 8)));
+    EXPECT_TRUE(IsValidJson(response)) << response;
+    EXPECT_NE(response.find("\"ok\": true"), std::string::npos);
   }
-  // Disarm: the server is healthy, new connections serve normally.
-  ChaosInjector::Global().Reset();
-  ServerClient client = ts.Connect();
-  const std::string response = client.Call(MapRequestFor(MakeProblem(4, 8)));
-  EXPECT_TRUE(IsValidJson(response)) << response;
-  EXPECT_NE(response.find("\"ok\": true"), std::string::npos);
 
   // A probabilistic storm of response-drops: every response that does
   // arrive is valid JSON; the server survives the whole run.
   ChaosInjector::Global().Configure(
       ParseChaosSpec("seed=12,conn_drop=0.4"));
+  TestServer ts;
   const ServerRequest map = MapRequestFor(MakeProblem(4, 8));
   int delivered = 0;
   for (int i = 0; i < 20; ++i) {

@@ -23,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "io/serialize.h"
 #include "server/client.h"
+#include "support/chaos.h"
 #include "support/error.h"
 #include "support/json_verify.h"
 #include "support/metrics.h"
@@ -243,31 +244,57 @@ TEST(ServerTest, DeadlineExpiredSolveReturnsFlaggedIncumbentFast) {
   EXPECT_NE(response.find("\"exact\": false"), std::string::npos);
 }
 
+/// Polls `pred` until it holds or ~10s pass. The server records a
+/// request's observability (access log line, SLO sample) right after it
+/// fulfills the response promise, so a client that just got a response
+/// may be a few microseconds ahead of the bookkeeping.
+template <typename Pred>
+bool WaitFor(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
 TEST(ServerTest, FullAdmissionQueueRejectsImmediately) {
+  // The chaos injector's solver_slow seam holds the worker: every job it
+  // picks up first sleeps 1 s. It is armed before this test's server
+  // starts and disarmed (by the guard, declared first) after it stops.
+  struct ChaosGuard {
+    ~ChaosGuard() { ChaosInjector::Global().Reset(); }
+  } guard;
+  ChaosInjector::Global().Configure(ParseChaosSpec("solver_slow=1:1000ms"));
   ServerConfig config;
   config.num_workers = 1;
   config.queue_capacity = 1;
   TestServer ts(std::move(config));
 
-  // Saturate the single worker and the one queue slot with slow solves,
-  // then fire a burst of concurrent pings. With at most two requests in
-  // the system, most of the burst must be rejected — and rejection is
+  // Occupy the single worker, then the one queue slot, then fire a burst
+  // of concurrent pings. The second solve is sent only once the worker
+  // has drawn the first one's delay, so both are admitted, and the burst
+  // fires while the worker still sleeps: with at most two requests in the
+  // system, most of the burst must be rejected — and rejection is
   // immediate (the connection thread answers without a worker).
-  const Problem big = MakeProblem(10, 48);
+  const ServerRequest solve = MapRequestFor(MakeProblem(4, 8));
   std::vector<std::thread> busy;
-  for (int i = 0; i < 2; ++i) {
+  const auto send_solve = [&] {
     busy.emplace_back([&] {
       ServerClient client = ts.Connect();
-      ServerRequest slow = MapRequestFor(big);
-      // Long enough to keep the worker busy while the burst fires, short
-      // enough that the engine's deadline bounds the test's wall clock.
-      slow.deadline_s = 2.0;
-      const std::string response = client.Call(slow);
+      const std::string response = client.Call(solve);
       EXPECT_TRUE(IsValidJson(response));
     });
-  }
-  // Give the slow solves time to occupy worker + queue slot.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  };
+  send_solve();
+  ASSERT_TRUE(WaitFor([] {
+    return ChaosInjector::Global()
+               .stats()
+               .draws[static_cast<int>(ChaosSeam::kSolverSlow)] == 1;
+  }));
+  send_solve();
+  ASSERT_TRUE(WaitFor([&] { return ts.server->counters().accepted == 2; }));
 
   std::atomic<int> rejected{0};
   std::vector<std::thread> burst;
@@ -312,21 +339,6 @@ TEST(ServerTest, DrainFinishesAdmittedWorkAndStopsTheWorld) {
   EXPECT_THROW(ts.Connect(), Error);
   // Drain is idempotent.
   ts.server->Drain();
-}
-
-/// Polls `pred` until it holds or ~10s pass. The server records a
-/// request's observability (access log line, SLO sample) right after it
-/// fulfills the response promise, so a client that just got a response
-/// may be a few microseconds ahead of the bookkeeping.
-template <typename Pred>
-bool WaitFor(Pred pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return true;
 }
 
 TEST(ServerTest, ClientSuppliedTraceIdIsEchoedOnEveryOp) {

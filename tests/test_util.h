@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/mapper.h"
 #include "core/task.h"
 #include "costmodel/poly.h"
 
@@ -36,6 +37,28 @@ struct EdgeSpec {
   double e_over_send = 0.0;
   double e_over_recv = 0.0;
 };
+
+/// The feasibility table admitting exactly the counts in 1..max_procs
+/// that `admits` accepts.
+template <typename Pred>
+FeasibleProcs TableOf(int max_procs, Pred admits) {
+  std::vector<int> counts;
+  for (int p = 1; p <= max_procs; ++p) {
+    if (admits(p)) counts.push_back(p);
+  }
+  return FeasibleProcs(counts);
+}
+
+/// The feasibility tables the brute-force comparisons sweep on a
+/// `max_procs`-processor machine: every count, odd counts, the rectangles
+/// of a 2x5 grid, and powers of two.
+inline std::vector<FeasibleProcs> ComparisonTables(int max_procs) {
+  return {FeasibleProcs(),
+          TableOf(max_procs, [](int p) { return p % 2 == 1; }),
+          TableOf(max_procs,
+                  [](int p) { return p <= 5 || (p % 2 == 0 && p <= 10); }),
+          TableOf(max_procs, [](int p) { return (p & (p - 1)) == 0; })};
+}
 
 /// Node memory used by chains built with BuildChain (arbitrary unit).
 inline constexpr double kTestNodeMemory = 100.0;
