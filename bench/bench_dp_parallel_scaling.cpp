@@ -1,8 +1,7 @@
-// Parallel-scaling and incremental re-solve regression harness for the DP
-// mapping engine.
+// Parallel-scaling regression harness for the DP mapping engine.
 //
-// Part 1 runs the throughput DP on a P >= 128, k >= 16 synthetic chain at
-// the full 1..8 thread ladder, verifies every run returns the identical
+// Runs the throughput DP on a P >= 128, k >= 16 synthetic chain at the
+// full 1..8 thread ladder, verifies every run returns the identical
 // mapping and objective (the engine's determinism contract), and records
 // per-worker work shares so partition imbalance is tracked alongside wall
 // time, together with each rung's CPU split (user vs sys), minor page
@@ -18,17 +17,10 @@
 // mappers actually use, overridable with PIPEMAP_HARDWARE_THREADS — not
 // the raw cpuinfo count.
 //
-// Part 2 measures the incremental re-solve path: solve once with sweep
-// capture on, perturb the last edge's communication costs, and re-solve
-// warm (suffix-only re-sweep) vs cold. The warm result must be
-// byte-identical to the cold one — mapping, throughput, and provenance are
-// all compared — and the speedup is recorded.
-//
-// Exit status is nonzero when any thread count changes the mapping or the
-// warm re-solve diverges from cold — never when a speedup is small,
-// because measured speedup is a property of the host; the JSON carries
-// enough context (`hardware_threads`, `oversubscribed`) for tooling to
-// judge the numbers.
+// Exit status is nonzero when any thread count changes the mapping —
+// never when a speedup is small, because measured speedup is a property
+// of the host; the JSON carries enough context (`hardware_threads`,
+// `oversubscribed`) for tooling to judge the numbers.
 //
 // Usage: bench_dp_parallel_scaling [output.json] [P] [k]
 //        defaults: BENCH_dp_parallel.json 128 16
@@ -37,7 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,8 +36,6 @@
 
 #include "core/dp_mapper.h"
 #include "core/evaluator.h"
-#include "core/warm_start.h"
-#include "costmodel/cost_function.h"
 #include "support/json_writer.h"
 #include "support/metrics.h"
 #include "support/thread_pool.h"
@@ -70,15 +59,6 @@ struct ThreadSample {
   double table_bytes = 0.0;
   std::vector<std::uint64_t> worker_work;
   std::string mapping;
-};
-
-struct IncrementalSample {
-  double cold_wall_s = 0.0;
-  double warm_wall_s = 0.0;
-  double speedup = 1.0;
-  bool used_sweep_prefix = false;
-  int resweep_from = -1;
-  bool identical = false;
 };
 
 double Now() {
@@ -111,24 +91,6 @@ double WorkImbalance(const std::vector<std::uint64_t>& shares) {
   const double mean =
       static_cast<double>(total) / static_cast<double>(shares.size());
   return static_cast<double>(max) / mean;
-}
-
-/// The chain with the last edge's communication costs scaled by `factor`:
-/// a suffix-only cost perturbation, so an incremental re-solve may reuse
-/// every stage except the final one.
-TaskChain PerturbLastEdge(const TaskChain& chain, double factor) {
-  const int edge = chain.size() - 2;
-  ChainCostModel costs = chain.costs();
-  std::shared_ptr<ScalarCost> icom(costs.IComFn(edge).Clone());
-  std::shared_ptr<PairCost> ecom(costs.EComFn(edge).Clone());
-  costs.SetEdge(
-      edge,
-      std::make_unique<CallbackScalarCost>(
-          [icom, factor](int p) { return icom->Eval(p) * factor; }),
-      std::make_unique<CallbackPairCost>([ecom, factor](int s, int r) {
-        return ecom->Eval(s, r) * factor;
-      }));
-  return chain.WithCosts(std::move(costs));
 }
 
 int Run(const std::string& out_path, int procs, int num_tasks) {
@@ -210,51 +172,6 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
   std::printf("  identical mappings across thread counts: %s\n",
               identical ? "yes" : "NO — determinism contract violated");
 
-  // Incremental re-solve: capture the sweep on the base chain, perturb the
-  // last edge, and compare a warm (suffix-only) re-solve against a cold
-  // one. Single-threaded on both sides so the ratio isolates the algorithm.
-  IncrementalSample inc;
-  {
-    MapperOptions options;
-    options.allow_clustering = false;
-    options.num_threads = 1;
-    options.incremental = true;
-    options.warm = std::make_shared<WarmStartState>();
-    const DpMapper warm_mapper(options);
-    warm_mapper.Map(eval, procs);  // capture pass
-
-    const TaskChain perturbed = PerturbLastEdge(w.chain, 1.05);
-    const Evaluator peval(perturbed, procs, w.machine.node_memory_bytes,
-                          /*num_threads=*/0);
-
-    MapperOptions cold_options;
-    cold_options.allow_clustering = false;
-    cold_options.num_threads = 1;
-    const DpMapper cold_mapper(cold_options);
-    const double cold_start = Now();
-    const MapResult cold = cold_mapper.Map(peval, procs);
-    inc.cold_wall_s = Now() - cold_start;
-
-    const double warm_start = Now();
-    const MapResult warm = warm_mapper.Map(peval, procs);
-    inc.warm_wall_s = Now() - warm_start;
-
-    inc.speedup = inc.warm_wall_s > 0.0 ? inc.cold_wall_s / inc.warm_wall_s
-                                        : 0.0;
-    inc.used_sweep_prefix = warm.used_sweep_prefix;
-    inc.resweep_from = warm.resweep_from;
-    inc.identical =
-        warm.mapping.ToString(perturbed) == cold.mapping.ToString(perturbed) &&
-        warm.throughput == cold.throughput;
-    std::printf("\n  incremental re-solve (last-edge perturbation):\n");
-    std::printf("    cold %.3f s,  warm %.3f s  ->  %.1fx"
-                "  (prefix reused: %s, re-swept from stage %d)\n",
-                inc.cold_wall_s, inc.warm_wall_s, inc.speedup,
-                inc.used_sweep_prefix ? "yes" : "NO", inc.resweep_from);
-    std::printf("    warm identical to cold: %s\n",
-                inc.identical ? "yes" : "NO — incremental contract violated");
-  }
-
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -290,14 +207,6 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
     jw.EndObject();
   }
   jw.EndArray();
-  jw.Key("incremental").BeginObject();
-  jw.Key("cold_wall_s").Double(inc.cold_wall_s);
-  jw.Key("warm_wall_s").Double(inc.warm_wall_s);
-  jw.Key("speedup").Double(inc.speedup);
-  jw.Key("used_sweep_prefix").Bool(inc.used_sweep_prefix);
-  jw.Key("resweep_from").Int(inc.resweep_from);
-  jw.Key("identical_to_cold").Bool(inc.identical);
-  jw.EndObject();
   // ru_maxrss is in KiB on Linux.
   jw.Key("peak_rss_mb").Double(static_cast<double>(SelfUsage().ru_maxrss) /
                                1024.0);
@@ -305,7 +214,7 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
   jw.EndObject();
   out << jw.str();
   std::printf("  wrote %s\n", out_path.c_str());
-  return identical && inc.identical ? 0 : 2;
+  return identical ? 0 : 2;
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
 // Engine cache / warm-start harness (writes BENCH_engine_cache.json).
 //
-// Quantifies the two reuse layers the MappingEngine adds on top of the
-// mappers, on the Table-2 applications:
+// Quantifies the reuse the MappingEngine adds on top of the mappers —
+// warm-start state within a sweep, and the solution cache with its disk
+// tier across requests — on the Table-2 applications:
 //
 //   1. Warm-started frontier sweeps: MappingEngine::Frontier threads one
 //      WarmStartState through every DP solve of a latency/throughput
 //      sweep, so range tables built for the first floor are reused by
 //      later floors. The bench times the identical sweep cold (each solve
 //      builds its own tables) and warm, verifies the frontiers match
-//      point for point, and records the speedup. A repeated identical
-//      sweep is answered whole from the engine's sweep cache with zero
-//      DP solves, which is where the decisive speedup comes from.
+//      point for point, and records the speedup. Sweeps are not cached:
+//      every Frontier call solves.
 //
 //   2. Warm-started machine sizing: MinProcs binary-searches processor
 //      budgets below P, and tables built at cap P answer every smaller
@@ -64,7 +64,6 @@ double Now() {
 struct FrontierSample {
   double cold_s = 0.0;
   double warm_s = 0.0;
-  double cached_s = 0.0;
   std::uint64_t solves = 0;
   std::uint64_t tables_built = 0;
   std::uint64_t tables_reused = 0;
@@ -74,7 +73,6 @@ struct FrontierSample {
 struct SizingSample {
   double cold_s = 0.0;
   double warm_s = 0.0;
-  double cached_s = 0.0;
   std::uint64_t solves = 0;
   std::uint64_t tables_reused = 0;
   bool identical = true;
@@ -140,7 +138,6 @@ int Run(const std::string& out_path, int points, int reps) {
     MapRequest request;
     request.chain = &c.workload.chain;
     request.machine = c.workload.machine;
-    request.use_cache = false;  // measure the warm solves, not the cache
     std::vector<FrontierPoint> cold_frontier, warm_frontier;
     app.frontier.cold_s = std::numeric_limits<double>::infinity();
     app.frontier.warm_s = std::numeric_limits<double>::infinity();
@@ -164,21 +161,6 @@ int Run(const std::string& out_path, int points, int reps) {
       app.frontier.tables_reused = stats.warm_tables_reused;
     }
     app.frontier.identical = SameFrontier(cold_frontier, warm_frontier);
-    all_identical = all_identical && app.frontier.identical;
-
-    // Repeat sweep through the sweep cache: the first call fills it, the
-    // repeats are answered whole.
-    request.use_cache = true;
-    engine.Frontier(request, points);
-    app.frontier.cached_s = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < reps; ++rep) {
-      const double start = Now();
-      const std::vector<FrontierPoint> cached =
-          engine.Frontier(request, points);
-      app.frontier.cached_s = std::min(app.frontier.cached_s, Now() - start);
-      app.frontier.identical =
-          app.frontier.identical && SameFrontier(cold_frontier, cached);
-    }
     all_identical = all_identical && app.frontier.identical;
 
     // Machine sizing: the binary search probes many processor budgets
@@ -213,20 +195,6 @@ int Run(const std::string& out_path, int points, int reps) {
     }
     app.sizing.identical = cold_size.procs == warm_size.procs &&
                            cold_size.mapping == warm_size.mapping;
-    all_identical = all_identical && app.sizing.identical;
-
-    // Repeat sizing through the sweep cache.
-    request.use_cache = true;
-    engine.MinProcs(request, target);
-    app.sizing.cached_s = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < reps; ++rep) {
-      const double start = Now();
-      const ProcCountResult cached = engine.MinProcs(request, target);
-      app.sizing.cached_s = std::min(app.sizing.cached_s, Now() - start);
-      app.sizing.identical = app.sizing.identical &&
-                             cached.procs == cold_size.procs &&
-                             cached.mapping == cold_size.mapping;
-    }
     all_identical = all_identical && app.sizing.identical;
 
     // Solution cache: identical request answered without solving.
@@ -283,17 +251,15 @@ int Run(const std::string& out_path, int points, int reps) {
     all_identical = all_identical && app.persist.byte_identical;
 
     std::printf("%-10s %-9s %-9s frontier %8.2f ms cold (warm %4.2fx,"
-                " %llu/%llu reused, repeat %7.1fx)  sizing %8.2f ms cold"
-                " (warm %4.2fx, repeat %7.1fx)  map hit %5.2fx%s%s%s\n",
+                " %llu/%llu reused)  sizing %8.2f ms cold (warm %4.2fx)"
+                "  map hit %5.2fx%s%s%s\n",
                 app.label.c_str(), app.size.c_str(), app.comm.c_str(),
                 1e3 * app.frontier.cold_s,
                 app.frontier.cold_s / app.frontier.warm_s,
                 static_cast<unsigned long long>(app.frontier.tables_reused),
                 static_cast<unsigned long long>(app.frontier.solves),
-                app.frontier.cold_s / app.frontier.cached_s,
                 1e3 * app.sizing.cold_s,
                 app.sizing.cold_s / app.sizing.warm_s,
-                app.sizing.cold_s / app.sizing.cached_s,
                 app.cache.miss_s / app.cache.hit_s,
                 app.frontier.identical ? "" : "  FRONTIER MISMATCH",
                 app.sizing.identical ? "" : "  SIZING MISMATCH",
@@ -336,9 +302,6 @@ int Run(const std::string& out_path, int points, int reps) {
     w.Key("cold_s").Double(app.frontier.cold_s);
     w.Key("warm_s").Double(app.frontier.warm_s);
     w.Key("speedup").Double(app.frontier.cold_s / app.frontier.warm_s);
-    w.Key("cached_s").Double(app.frontier.cached_s);
-    w.Key("cached_speedup")
-        .Double(app.frontier.cold_s / app.frontier.cached_s);
     w.Key("solves").UInt(app.frontier.solves);
     w.Key("tables_built").UInt(app.frontier.tables_built);
     w.Key("tables_reused").UInt(app.frontier.tables_reused);
@@ -348,8 +311,6 @@ int Run(const std::string& out_path, int points, int reps) {
     w.Key("cold_s").Double(app.sizing.cold_s);
     w.Key("warm_s").Double(app.sizing.warm_s);
     w.Key("speedup").Double(app.sizing.cold_s / app.sizing.warm_s);
-    w.Key("cached_s").Double(app.sizing.cached_s);
-    w.Key("cached_speedup").Double(app.sizing.cold_s / app.sizing.cached_s);
     w.Key("solves").UInt(app.sizing.solves);
     w.Key("tables_reused").UInt(app.sizing.tables_reused);
     w.Key("identical").Bool(app.sizing.identical);

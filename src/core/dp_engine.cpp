@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dp_sweep_state.h"
 #include "core/simd_kernels.h"
 #include "support/aligned.h"
 #include "support/deadline.h"
@@ -325,25 +324,72 @@ constexpr std::int64_t kMinWorkPerWorker = 16384;
 
 int RoundUp4(int n) { return (n + 3) & ~3; }
 
+/// One (pu, b) cell of a stage: `pu` processors used, `b` the last
+/// module's budget.
+struct CellIndex {
+  /// Written lanes [lo, hi), packed lo | hi << 16; hi <= lo (0xffff) marks
+  /// an empty cell. Lanes in the cell's block but outside the range hold
+  /// +inf.
+  std::uint32_t slot_range;
+  /// Lane g of the cell lives at pool[lane_base + g], in uint32 arithmetic
+  /// (a block that starts at slot lo > 0 has lane_base = offset - lo).
+  std::uint32_t lane_base;
+};
+
+/// One DP stage (j, len), sized to its live states: a dense index of
+/// (cap+1)^2 cells at pu * (cap+1) + b, and pools of value and
+/// backpointer lanes that hold one block per cell that can be written. A
+/// lane is a `slot`: the rank of the previous module's per-instance
+/// processor count in the solve's slot universe (slot 0 is the
+/// no-predecessor marker).
+///
+/// A stage's pool is laid out before anything writes it. A destination
+/// cell (pu + b2, b2) of a stage whose first task is f > 0 is written only
+/// from source row pu of the stages (f - 1, *); those source cells are
+/// final before iteration f - 1 starts, and each write lands in the slot
+/// of its source cell's configuration. So at the start of that iteration
+/// the engine gives every reachable destination cell one block spanning
+/// the slots of its source row's live cells, grouped by source row so
+/// workers sweeping different rows write disjoint runs. Stages of the
+/// first module hold only seeds, one lane per (b, b) cell.
+struct FlatStage {
+  std::vector<CellIndex> cells;
+  std::vector<double> value;      // +inf until written
+  std::vector<std::uint32_t> bp;  // read only at written lanes
+  /// row_live[pu] != 0 iff some (pu, b) cell is non-empty. One cache line
+  /// per flag: the flags are written concurrently (relaxed stores of 1)
+  /// by workers sweeping different source rows.
+  std::vector<CacheLinePadded<std::atomic<char>>> row_live;
+  bool allocated = false;
+};
+
 /// Empty cell: lo = 0xffff, hi = 0 (hi <= lo), no block.
 constexpr CellIndex kEmptyCell{0xffffu, 0};
 
 /// Bytes per pool lane: one value and one backpointer.
 constexpr std::size_t kLaneBytes = sizeof(double) + sizeof(std::uint32_t);
 
-/// Largest grid (buffer capacity) a thread keeps for its next cold solve.
-/// A larger one is freed, so one big solve does not stay pinned on a
+/// Largest grid (buffer capacity) a thread keeps for its next solve. A
+/// larger one is freed, so one big solve does not stay pinned on a
 /// long-lived worker thread.
 constexpr std::size_t kMaxRetainedGridBytes = std::size_t{64} << 20;
 
-/// The calling thread's last uncaptured grid; its next cold solve lays its
-/// stages out in these buffers instead of faulting in fresh ones.
-std::shared_ptr<DpSweepState>& RetainedGrid() {
-  thread_local std::shared_ptr<DpSweepState> grid;
+/// The stages of one solve, indexed j * k + (len - 1), with the index,
+/// row-flag and pool bytes of the allocated ones as laid out (what
+/// max_table_bytes bounds and dp.table_bytes reports).
+struct StageGrid {
+  std::vector<FlatStage> stages;
+  std::size_t allocated_bytes = 0;
+};
+
+/// The calling thread's last grid; its next solve lays its stages out in
+/// these buffers instead of faulting in fresh ones.
+std::unique_ptr<StageGrid>& RetainedGrid() {
+  thread_local std::unique_ptr<StageGrid> grid;
   return grid;
 }
 
-std::size_t CapacityBytes(const DpSweepState& grid) {
+std::size_t CapacityBytes(const StageGrid& grid) {
   std::size_t bytes = 0;
   for (const FlatStage& s : grid.stages) {
     bytes += s.cells.capacity() * sizeof(CellIndex) +
@@ -361,40 +407,6 @@ void ClearStage(FlatStage& s, std::size_t cells) {
   for (auto& flag : s.row_live) {
     flag.value.store(0, std::memory_order_relaxed);
   }
-}
-
-/// First stage index whose captured contents may disagree with `eval`:
-/// the earliest dirty task, dirty edge + 1 (edge e is first charged when a
-/// module ending at e extends, writing stages >= e + 1), or the end task
-/// of a module range whose memory minimum / replicability changed. `k`
-/// means nothing is dirty.
-int ComputeDirtyFrom(const DpSweepState& s, const Evaluator& eval, int k,
-                     int max_len) {
-  int dirty = k;
-  for (int t = 0; t < k; ++t) {
-    if (s.task_hash[static_cast<std::size_t>(t)] != eval.TaskCostHash(t)) {
-      dirty = std::min(dirty, t);
-      break;  // later tasks cannot lower the minimum
-    }
-  }
-  for (int e = 0; e < k - 1 && e + 1 < dirty; ++e) {
-    if (s.edge_hash[static_cast<std::size_t>(e)] != eval.EdgeCostHash(e)) {
-      dirty = std::min(dirty, e + 1);
-      break;
-    }
-  }
-  const std::vector<int>& mp = eval.min_procs_table();
-  const std::vector<char>& rp = eval.replicable_table();
-  for (int first = 0; first < k && dirty > 0; ++first) {
-    const int last_max = std::min(k - 1, first + max_len - 1);
-    for (int last = first; last <= last_max && last < dirty; ++last) {
-      const std::size_t idx = static_cast<std::size_t>(first) * k + last;
-      if (s.min_procs[idx] != mp[idx] || s.replicable[idx] != rp[idx]) {
-        dirty = std::min(dirty, last);
-      }
-    }
-  }
-  return dirty;
 }
 
 }  // namespace
@@ -593,77 +605,22 @@ DpSolution RunChainDp(const DpProblem& problem) {
     }
   }
 
-  // ---------------------------------------------------------------------
-  // Incremental re-solve: check a captured sweep out of the warm state
-  // (exclusively — it is re-attached only on success), find the first
-  // stage whose inputs changed, and keep every earlier stage's tables.
-  // Reuse additionally requires the gate inputs to agree: identical slot
-  // universe and identical suffix-budget bounds over the clean prefix
-  // (both gate which cells exist). When anything disqualifies the capture
-  // the solve silently runs the full sweep — incremental is an
-  // accelerator, never a semantic switch.
-  //
-  // Capture runs with dominance pruning disabled on non-terminal stages
-  // so the kept tables are complete. That is exactness-preserving in both
-  // directions: a write emitted from a cell the pruned sweep would have
-  // skipped carries a value >= its cell bound > threshold >= optimum, and
-  // values never decrease along a chain (max-aggregation, or adding
-  // non-negative costs), so no such write can reach, beat, or tie the
-  // optimum's terminal state — the mapping and objective are bitwise what
-  // the pruned cold solve returns.
-  // ---------------------------------------------------------------------
-  const bool want_capture = options.incremental && warm && eval.tabulated();
-  std::shared_ptr<DpSweepState> sweep;
-  bool used_sweep_prefix = false;
-  // First stage (end-task index) that must be re-swept; k-1 at minimum is
-  // always re-swept so the terminal candidates are re-selected.
-  int rebuild_from = 0;
-  if (want_capture && warm->sweep) {
-    std::shared_ptr<DpSweepState> prior = std::move(warm->sweep);
-    warm->sweep.reset();
-    const DpSweepState& s = *prior;
-    const bool key_ok =
-        s.k == k && s.cap == cap && s.max_len == max_len &&
-        s.policy == policy && s.rule == problem.config_rule &&
-        s.response_cap == response_cap &&
-        s.feasible == options.proc_feasible &&
-        s.path_sum == path_sum && s.slot_procs == slot_procs;
-    if (key_ok) {
-      int dirty = ComputeDirtyFrom(s, eval, k, max_len);
-      bool gates_ok = true;
-      for (int t = 0; t <= std::min(dirty, k); ++t) {
-        if (s.suffix_min[static_cast<std::size_t>(t)] != suffix_min[t]) {
-          gates_ok = false;
-          break;
-        }
-      }
-      if (gates_ok && dirty > 0) {
-        sweep = std::move(prior);
-        used_sweep_prefix = true;  // dirty == k reuses every stage but last
-        rebuild_from = std::min(dirty, k - 1);
-        ++warm->prefix_reused;
-        PIPEMAP_COUNTER_ADD("dp.sweep_prefix_reused", 1);
-      }
-    }
-  }
-  const bool fresh_grid = sweep == nullptr;
-  if (fresh_grid) {
-    sweep = std::exchange(RetainedGrid(), nullptr);
-    if (sweep == nullptr) sweep = std::make_shared<DpSweepState>();
-    for (FlatStage& s : sweep->stages) s.allocated = false;
-    sweep->stages.resize(static_cast<std::size_t>(k) * k);
-    sweep->allocated_bytes = 0;
-    rebuild_from = 0;
-  }
-  DpSweepState& grid = *sweep;
+  // The stage grid: the calling thread's retained buffers when it has
+  // them, every stage unallocated.
+  std::unique_ptr<StageGrid> owned_grid = std::move(RetainedGrid());
+  if (owned_grid == nullptr) owned_grid = std::make_unique<StageGrid>();
+  StageGrid& grid = *owned_grid;
+  for (FlatStage& s : grid.stages) s.allocated = false;
+  grid.stages.resize(static_cast<std::size_t>(k) * k);
+  grid.allocated_bytes = 0;
   auto stage_at = [&grid, k](int j, int len) -> FlatStage& {
     return grid.stages[static_cast<std::size_t>(j) * k + (len - 1)];
   };
 
   // Table bytes: a stage's index and row flags when it is allocated, its
-  // pool when it is laid out (re-laying one out releases the old pool).
-  auto charge = [&](std::size_t add, std::size_t release) {
-    grid.allocated_bytes = grid.allocated_bytes - release + add;
+  // pool when it is laid out.
+  auto charge = [&](std::size_t add) {
+    grid.allocated_bytes += add;
     if (grid.allocated_bytes > options.max_table_bytes) {
       throw ResourceLimit(
           "RunChainDp: DP table exceeds max_table_bytes; reduce P or use "
@@ -676,14 +633,12 @@ DpSolution RunChainDp(const DpProblem& problem) {
     FlatStage& s = stage_at(j, len);
     if (!s.allocated) {
       charge(stage_cells * sizeof(CellIndex) +
-                 static_cast<std::size_t>(cap + 1) * sizeof(s.row_live[0]),
-             0);
+             static_cast<std::size_t>(cap + 1) * sizeof(s.row_live[0]));
       if (s.row_live.size() != static_cast<std::size_t>(cap) + 1) {
         s.row_live =
             std::vector<CacheLinePadded<std::atomic<char>>>(cap + 1);
       }
       ClearStage(s, stage_cells);
-      s.value.clear();  // a recycled pool holds no charged bytes
       s.allocated = true;
     }
     return s;
@@ -693,22 +648,11 @@ DpSolution RunChainDp(const DpProblem& problem) {
     if (lanes > std::numeric_limits<std::uint32_t>::max()) {
       throw ResourceLimit("RunChainDp: DP stage exceeds 2^32 lanes");
     }
-    charge(lanes * kLaneBytes, s.value.size() * kLaneBytes);
+    charge(lanes * kLaneBytes);
     s.value.assign(lanes, kInf);
     s.bp.reserve(lanes);  // exact, where resize alone may double
     s.bp.resize(lanes);
   };
-  // Stages at or past the rebuild point are re-derived from scratch.
-  if (!fresh_grid) {
-    for (int j = rebuild_from; j < k; ++j) {
-      for (int len = 1; len <= std::min(max_len, j + 1); ++len) {
-        FlatStage& s = stage_at(j, len);
-        if (!s.allocated) continue;
-        ClearStage(s, stage_cells);
-        layout_pool(s, 0);
-      }
-    }
-  }
   auto cell_index = [cap](int pu, int b) {
     return static_cast<std::size_t>(pu) * (cap + 1) + b;
   };
@@ -745,12 +689,10 @@ DpSolution RunChainDp(const DpProblem& problem) {
   };
 
   // Seed: first module [0 .. len-1] with budget b, one lane per (b, b)
-  // cell. Under prefix reuse, seeds landing in clean stages are already
-  // in the captured tables.
+  // cell.
   std::vector<int> seeds;
   for (int len = 1; len <= std::min(max_len, k); ++len) {
     const int last = len - 1;
-    if (!fresh_grid && last < rebuild_from) continue;
     const std::size_t cbase = ctx.CfgBase(0, last);
     const long long suffix_needed = suffix_min[last + 1];
     seeds.clear();
@@ -805,11 +747,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
     ws.src_idx.assign(cap4, -1.0);
   }
 
-  // Whether dominance pruning may skip cells. Capture keeps the tables
-  // complete, so pruning stays off on stages with outgoing writes; the
-  // terminal stage writes nothing, so it always prunes.
-  const bool capture_tables = want_capture;
-
   // Cooperative deadline: any worker observing expiry raises the shared
   // flag; the other workers bail at their next row boundary and the stage
   // loop stops. The partially swept stage's candidates are discarded (a
@@ -819,24 +756,14 @@ DpSolution RunChainDp(const DpProblem& problem) {
   bool aborted = false;
 
   // Process stages in increasing end-task order so transitions always move
-  // forward. Under prefix reuse, stages before the rebuild point are
-  // re-swept only as sources for rebuilt destinations (a module spans at
-  // most max_len tasks, so stages earlier than rebuild_from - max_len
-  // cannot write into the rebuilt suffix at all).
-  const int sweep_from =
-      fresh_grid ? 0 : std::max(0, rebuild_from - max_len);
-  // Per source row, the slot span [row_lo, row_hi) of its live cells: the
+  // forward. Per source row, the slot span [row_lo, row_hi) of its live cells: the
   // lanes its writes can land in. target_stage[len2] is the laid-out stage
   // (j + len2, len2) of the current iteration, or null.
   std::vector<int> row_lo(static_cast<std::size_t>(cap) + 1);
   std::vector<int> row_hi(static_cast<std::size_t>(cap) + 1);
   std::vector<FlatStage*> target_stage(
       static_cast<std::size_t>(max_len) + 1);
-  for (int j = sweep_from; j < k && !aborted; ++j) {
-    // Clean source stages only emit into rebuilt destinations; their own
-    // tables and terminal candidates are already accounted for.
-    const bool source_only = !fresh_grid && j < rebuild_from;
-
+  for (int j = 0; j < k && !aborted; ++j) {
     // Lay out the stages this iteration writes (see FlatStage): every
     // destination cell (pu + b2, b2) that passes the sweep's own target
     // tests below gets a block spanning source row pu's slots. The
@@ -873,10 +800,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
         const int next_last = j + len2;
         const int next_min = ctx.MinBudget(j + 1, next_last);
         const long long tail = suffix_min[next_last + 1];
-        // Under prefix reuse, writes into clean stages are already in the
-        // captured tables (and would be no-ops: the min-update is
-        // idempotent); they are skipped.
-        if (!fresh_grid && next_last < rebuild_from) continue;
         if (next_min >= kInfeasibleProcs ||
             min_live_pu + next_min + tail > cap) {
           continue;
@@ -1021,11 +944,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
           targets.push_back(std::move(t));
         }
       }
-      if (source_only) {
-        bool any_target = false;
-        for (const Target& t : targets) any_target |= t.stage != nullptr;
-        if (!any_target) continue;
-      }
 
       // The dominance threshold stays frozen for the whole stage: `best`
       // only advances on terminal stages, which have no outgoing
@@ -1071,18 +989,15 @@ DpSolution RunChainDp(const DpProblem& problem) {
             // at least the cheapest incoming value combined with this
             // module's body at zero boundary communication. Strictly worse
             // than the threshold means no completion can beat or tie the
-            // optimum. With capture on, the prune is disabled (the tables
-            // must stay complete); the extra writes can never displace the
-            // optimum — see the capture comment above. The min over the
-            // written lanes equals the min over the whole conceptual row:
-            // unwritten lanes are +inf by definition.
+            // optimum. The min over the written lanes equals the min over
+            // the whole conceptual row: unwritten lanes are +inf by
+            // definition.
             const double v_min = simd::RowMin(written, hi - lo);
             const double body = body_of_rank[static_cast<std::size_t>(rank)];
             const double cell_bound =
                 path_sum ? v_min + body
                          : std::max(v_min, body / replicas);
-            if ((!capture_tables || is_last_stage) &&
-                cell_bound > std::min(frozen_threshold, local_best.total)) {
+            if (cell_bound > std::min(frozen_threshold, local_best.total)) {
               ++local_pruned;
               continue;
             }
@@ -1121,7 +1036,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
               }
               continue;
             }
-            if (source_only && n == 0) continue;
 
             // Extend with the next module [j+1 .. j+len2] and budget b2.
             // The kernel runs per source over the contiguous valid-b2
@@ -1302,37 +1216,11 @@ DpSolution RunChainDp(const DpProblem& problem) {
   solution.reused_tables = reused_tables;
   solution.seeded_incumbent = seeded_incumbent;
   solution.timed_out = timed_out;
-  solution.used_sweep_prefix = used_sweep_prefix;
-  solution.resweep_from = used_sweep_prefix ? rebuild_from : -1;
   solution.worker_work = std::move(worker_work_total);
   if (warm) warm->incumbent = solution.mapping;
 
-  // Re-attach the sweep for the next incremental solve. Timed-out grids
-  // are dropped: a partially swept stage is not a function of the problem
-  // alone, so it must never seed a future prefix.
-  if (want_capture && !timed_out) {
-    DpSweepState& st = grid;
-    st.k = k;
-    st.cap = cap;
-    st.max_len = max_len;
-    st.policy = policy;
-    st.rule = problem.config_rule;
-    st.response_cap = response_cap;
-    st.feasible = options.proc_feasible;
-    st.path_sum = path_sum;
-    st.task_hash.resize(static_cast<std::size_t>(k));
-    for (int t = 0; t < k; ++t) st.task_hash[t] = eval.TaskCostHash(t);
-    st.edge_hash.resize(static_cast<std::size_t>(std::max(0, k - 1)));
-    for (int e = 0; e < k - 1; ++e) st.edge_hash[e] = eval.EdgeCostHash(e);
-    st.min_procs = eval.min_procs_table();
-    st.replicable = eval.replicable_table();
-    st.suffix_min = suffix_min;
-    st.slot_procs = slot_procs;
-    warm->sweep = std::move(sweep);
-    ++warm->sweeps_captured;
-    PIPEMAP_COUNTER_ADD("dp.sweeps_captured", 1);
-  } else if (CapacityBytes(grid) <= kMaxRetainedGridBytes) {
-    RetainedGrid() = std::move(sweep);
+  if (CapacityBytes(grid) <= kMaxRetainedGridBytes) {
+    RetainedGrid() = std::move(owned_grid);
   }
   return solution;
 }

@@ -123,12 +123,6 @@ struct DpSolution {
   /// Neither affects the returned mapping or objective.
   bool reused_tables = false;
   bool seeded_incumbent = false;
-  /// Incremental provenance (MapperOptions::incremental): whether a
-  /// captured sweep's clean prefix was reused, and the first stage index
-  /// that was actually re-swept (-1 when the whole sweep ran). Purely
-  /// informational — incremental results are byte-identical to cold ones.
-  bool used_sweep_prefix = false;
-  int resweep_from = -1;
   /// Per-worker share of `work` across the parallel stage sweeps (index =
   /// worker id, size = resolved thread count; sums to `work`). Exposes
   /// partition imbalance for the scaling bench's diagnostics.

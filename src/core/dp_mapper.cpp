@@ -20,8 +20,6 @@ MapResult DpMapper::Map(const Evaluator& eval, int total_procs) const {
   result.work = solution.work;
   result.pruned_cells = solution.pruned_cells;
   result.timed_out = solution.timed_out;
-  result.used_sweep_prefix = solution.used_sweep_prefix;
-  result.resweep_from = solution.resweep_from;
   result.worker_work = std::move(solution.worker_work);
   return result;
 }

@@ -123,9 +123,8 @@ Evaluator::Evaluator(const TaskChain& chain, int max_procs,
     }
   }
 
-  // Content hashes for incremental re-solves and the engine's request
-  // key: a task's hash covers its execution row, an edge's its
-  // redistribution row and external block.
+  // Content hashes for the engine's request key: a task's hash covers its
+  // execution row, an edge's its redistribution row and external block.
   if (tabulated_) {
     task_hash_.resize(k_);
     for (int t = 0; t < k_; ++t) {

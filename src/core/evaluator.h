@@ -82,14 +82,13 @@ class Evaluator {
   /// row, and of edge `edge`'s internal-redistribution row plus
   /// external-communication block. Two evaluators with equal hashes (and
   /// equal range caches, see the accessors below) agree on every cost the
-  /// DP reads for that task / edge — the foundation of the incremental
-  /// re-solve's dirty-suffix detection and of the engine's request key.
-  /// Tabulated evaluators only.
+  /// DP reads for that task / edge, which is what the engine's request
+  /// key (engine/fingerprint.h) folds. Tabulated evaluators only.
   std::uint64_t TaskCostHash(int task) const;
   std::uint64_t EdgeCostHash(int edge) const;
 
-  /// Raw range caches (k*k, (first, last) at first * k + last), for the
-  /// incremental re-solve's direct metadata comparison.
+  /// Raw range caches (k*k, (first, last) at first * k + last), which the
+  /// request key folds beside the content hashes.
   const std::vector<int>& min_procs_table() const { return min_procs_; }
   const std::vector<char>& replicable_table() const { return replicable_; }
 

@@ -21,8 +21,8 @@ namespace pipemap {
 /// constraints such as the Fx compiler's rectangular-subarray requirement
 /// (Section 6.1), resolved once into a lookup table. Default-constructed,
 /// it admits every count. Two tables compare equal iff they admit the
-/// same counts, so the DP's warm tables and captured sweeps compare the
-/// table they were built under, and the engine keys on it.
+/// same counts, so the DP's warm range tables compare the table they were
+/// built under, and the engine keys on it.
 class FeasibleProcs {
  public:
   FeasibleProcs() = default;
@@ -70,16 +70,6 @@ struct MapperOptions {
   /// returns identical mappings warm or cold (core/warm_start.h). Never
   /// part of the cache fingerprint.
   std::shared_ptr<WarmStartState> warm;
-  /// Capture and reuse whole DP sweep states through `warm` for
-  /// incremental re-solves (core/dp_sweep_state.h): a solve whose chain
-  /// prefix and cost content are unchanged reuses the completed prefix
-  /// stages and re-sweeps only the dirty suffix. Requires `warm`; ignored
-  /// without it. Capture disables dominance pruning on non-terminal stages
-  /// (so the kept tables are complete) and retains the stage tables
-  /// between solves — a memory-for-latency trade the caller opts into.
-  /// Like `warm`, purely an accelerator: results are byte-identical to a
-  /// cold solve, and the flag is never part of the cache fingerprint.
-  bool incremental = false;
   /// Optional cooperative deadline polled by solver inner loops. When it
   /// expires mid-solve the mapper stops refining and returns its best
   /// incumbent with MapResult::timed_out set (or throws ResourceLimit if no
@@ -105,12 +95,6 @@ struct MapResult {
   /// True when MapperOptions::deadline expired mid-solve and `mapping` is
   /// the best incumbent rather than a certified optimum.
   bool timed_out = false;
-  /// Incremental provenance (MapperOptions::incremental, DP only): whether
-  /// a captured sweep's clean prefix was reused, and the first stage index
-  /// re-swept (-1 when the whole sweep ran). Informational — incremental
-  /// results are byte-identical to cold ones.
-  bool used_sweep_prefix = false;
-  int resweep_from = -1;
   /// Per-worker share of `work` across the DP's parallel stage sweeps
   /// (empty for non-DP mappers); exposes partition imbalance.
   std::vector<std::uint64_t> worker_work;

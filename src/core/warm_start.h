@@ -15,7 +15,8 @@
 //     dominance-pruning threshold so the optimistic bounds have something
 //     tight to beat from the first stage onward.
 //
-// A WarmStartState bundles both. Callers hang one off
+// A WarmStartState bundles both. The DP's stage tables are not part of
+// it: every solve sweeps from the first stage. Callers hang one off
 // MapperOptions::warm; the solvers read what matches and refresh the state
 // after each run. Warm starts are accelerators only — the dynamic
 // program's pruning is bound-safe, so a warm-started solve returns exactly
@@ -27,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/mapping.h"
@@ -36,7 +36,6 @@ namespace pipemap {
 
 namespace detail {
 struct DpRangeTables;
-struct DpSweepState;
 }  // namespace detail
 
 struct WarmStartState {
@@ -44,12 +43,6 @@ struct WarmStartState {
   /// re-evaluates it under the current constraints (budget, floor) and
   /// uses the value as a pruning bound when it remains feasible.
   std::optional<Mapping> incumbent;
-
-  /// Most recent greedy clustering; lets the engine skip the merge/split
-  /// clustering search on adjacent solves (heuristic reuse — unlike DP
-  /// warm starts, a clustering-seeded greedy run may return a different
-  /// mapping than a cold one).
-  std::vector<std::pair<int, int>> clustering;
 
   /// Reusable DP range tables (see dp_engine.h), most recently used
   /// first. A small pool rather than a single slot: frontier sweeps
@@ -60,21 +53,10 @@ struct WarmStartState {
   /// least recently used beyond kMaxWarmTables) when none matches.
   std::vector<std::shared_ptr<detail::DpRangeTables>> tables;
 
-  /// Captured DP sweep for incremental re-solves (see
-  /// core/dp_sweep_state.h). Populated only when a solve runs with
-  /// MapperOptions::incremental; a subsequent solve whose chain prefix and
-  /// cost content are unchanged reuses the completed prefix stages and
-  /// re-sweeps only the dirty suffix. A solve checks the state out
-  /// exclusively (detach, mutate, re-attach on success), so an aborted
-  /// re-solve can never leave a half-rebuilt grid behind for the next one.
-  std::shared_ptr<detail::DpSweepState> sweep;
-
   /// Reuse statistics, for provenance and tests.
   std::uint64_t tables_reused = 0;
   std::uint64_t tables_built = 0;
   std::uint64_t incumbents_seeded = 0;
-  std::uint64_t sweeps_captured = 0;
-  std::uint64_t prefix_reused = 0;
 };
 
 }  // namespace pipemap

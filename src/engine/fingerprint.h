@@ -15,10 +15,8 @@
 // construction. A single flipped bit in any table entry always changes
 // the key (support/hash.h).
 //
-// The same key names the solution cache entry, the single-flight flight,
-// the disk tier's file and, extended by the sweep parameter, the frontier
-// and sizing memos. Without its cost part it keys the warm pool, whose
-// captured DP sweeps validate the chain's costs themselves.
+// The same key names the solution cache entry, the single-flight flight
+// and the disk tier's file.
 //
 // Keys are stable across processes and thread counts (the tables are
 // bit-identical for every thread count). A request is uncacheable — key
@@ -31,6 +29,7 @@
 #include <string_view>
 
 #include "support/hash.h"
+#include "support/trace_context.h"
 
 namespace pipemap {
 
@@ -78,7 +77,10 @@ class FingerprintBuilder {
 };
 
 /// Fingerprint rendered as fixed-width lowercase hex (16 characters), the
-/// form used in provenance JSON and logs.
-std::string FingerprintHex(std::uint64_t fingerprint);
+/// form used in provenance JSON, logs and cache file names: the same
+/// rendering as a trace id.
+inline std::string FingerprintHex(std::uint64_t fingerprint) {
+  return FormatTraceId(fingerprint);
+}
 
 }  // namespace pipemap

@@ -211,7 +211,7 @@ MapperOptions ResolveOptions(const MapRequest& request, int procs) {
 // RequestKey reads field by field. A new field changes the struct's size
 // and breaks the build here, so whoever adds it decides whether the key
 // covers it. Left out on purpose: the MapperOptions execution knobs
-// (num_threads, observe, warm, incremental, deadline), none of which can
+// (num_threads, observe, warm, deadline), none of which can
 // change a cacheable answer. proc_feasible enters resolved (see
 // ResolveOptions).
 struct MachineConfigMirror {
@@ -231,7 +231,6 @@ struct MapperOptionsMirror {
   int num_threads;
   bool observe;
   std::shared_ptr<WarmStartState> warm;
-  bool incremental;
   std::shared_ptr<const Deadline> deadline;
 };
 static_assert(sizeof(MachineConfig) == sizeof(MachineConfigMirror) &&
@@ -240,12 +239,11 @@ static_assert(sizeof(MachineConfig) == sizeof(MachineConfigMirror) &&
               "RequestKey covers the field, then update the mirror");
 
 /// The request key (engine/fingerprint.h) on `procs` processors under the
-/// resolved table `feasible`; 0 for an untabulated Evaluator. Without
-/// `costs`, everything but the chain's costs: the warm pool's key.
+/// resolved table `feasible`; 0 for an untabulated Evaluator.
 std::uint64_t RequestKey(const MapRequest& request,
                          const FeasibleProcs& feasible, int procs,
-                         const Evaluator* costs) {
-  if (costs != nullptr && !costs->tabulated()) return 0;
+                         const Evaluator& costs) {
+  if (!costs.tabulated()) return 0;
   const MachineConfig& m = request.machine;
   const MapperOptions& o = request.options;
   FingerprintBuilder fb;
@@ -266,32 +264,18 @@ std::uint64_t RequestKey(const MapRequest& request,
     fb.Append(p);
   }
   fb.Append(0);
-  if (costs == nullptr) return fb.value();
 
-  const int k = costs->num_tasks();
-  fb.Append(k).Append(costs->max_procs());
-  for (int t = 0; t < k; ++t) fb.Append(costs->TaskCostHash(t));
-  for (int e = 0; e + 1 < k; ++e) fb.Append(costs->EdgeCostHash(e));
-  const std::vector<int>& min_procs = costs->min_procs_table();
-  const std::vector<char>& replicable = costs->replicable_table();
+  const int k = costs.num_tasks();
+  fb.Append(k).Append(costs.max_procs());
+  for (int t = 0; t < k; ++t) fb.Append(costs.TaskCostHash(t));
+  for (int e = 0; e + 1 < k; ++e) fb.Append(costs.EdgeCostHash(e));
+  const std::vector<int>& min_procs = costs.min_procs_table();
+  const std::vector<char>& replicable = costs.replicable_table();
   for (std::size_t i = 0; i < min_procs.size(); ++i) {
     fb.Append((static_cast<std::uint64_t>(min_procs[i]) << 1) |
               (replicable[i] != 0 ? 1u : 0u));
   }
   return std::max<std::uint64_t>(fb.value(), 1);  // 0 means uncacheable
-}
-
-/// Memo key of a sweep: the request key extended by the sweep kind and
-/// its parameter; 0 when the request is uncacheable.
-std::uint64_t SweepKey(const MapRequest& request, const FeasibleProcs& feasible,
-                       int procs, const Evaluator& eval, const char* sweep,
-                       double parameter) {
-  const std::uint64_t key =
-      request.use_cache ? RequestKey(request, feasible, procs, &eval) : 0;
-  if (key == 0) return 0;
-  FingerprintBuilder fb;
-  fb.Append(sweep).Append(key).Append(parameter);
-  return fb.value();
 }
 
 /// Fills `response` with a cached or shared solve's answer.
@@ -302,19 +286,6 @@ void Replay(const CachedSolution& solved, MapResponse* response) {
   response->latency = solved.latency;
   response->solver = solved.solver;
   response->exact = solved.exact;
-}
-
-/// Inserts `value` under `key` into a FIFO memo bounded at `capacity`
-/// entries; `order` lists the keys oldest first. Caller holds the lock.
-template <typename V>
-void FifoInsert(std::unordered_map<std::uint64_t, V>& memo,
-                std::deque<std::uint64_t>& order, std::size_t capacity,
-                std::uint64_t key, V value) {
-  if (memo.size() >= capacity && !order.empty()) {
-    memo.erase(order.front());
-    order.pop_front();
-  }
-  if (memo.emplace(key, std::move(value)).second) order.push_back(key);
 }
 
 /// Runs `sweep(options)` with one warm-start state threaded through all
@@ -385,8 +356,6 @@ std::string MapResponse::ToJson() const {
   w.Key("tables_built").UInt(warm_tables_built);
   w.Key("tables_reused").UInt(warm_tables_reused);
   w.Key("incumbents_seeded").UInt(warm_incumbents_seeded);
-  w.Key("sweeps_captured").UInt(warm_sweeps_captured);
-  w.Key("sweep_prefix_reused").UInt(warm_sweep_prefix_reused);
   w.EndObject();
   w.Key("budget_exhausted").Bool(budget_exhausted);
   w.Key("timed_out").Bool(timed_out);
@@ -414,17 +383,12 @@ MappingEngine& MappingEngine::Shared() {
   return engine;
 }
 
-bool MappingEngine::WarmPoolContains(std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(sweep_mu_);
-  return warm_pool_.find(key) != warm_pool_.end();
-}
-
 std::uint64_t MappingEngine::Fingerprint(const MapRequest& request) const {
   ValidateRequest(request);
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned;
   return RequestKey(request, ResolveOptions(request, procs).proc_feasible,
-                    procs, &RequestEvaluator(request, procs, &owned));
+                    procs, RequestEvaluator(request, procs, &owned));
 }
 
 MapResponse MappingEngine::Map(const MapRequest& request) {
@@ -452,25 +416,10 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   response.trace_id = request.trace_id;
   if (request.use_cache) {
     response.fingerprint =
-        RequestKey(request, options.proc_feasible, procs, &eval);
+        RequestKey(request, options.proc_feasible, procs, eval);
   }
   response.cacheable = response.fingerprint != 0;
-  // Incremental requests without their own state use the warm pool below.
-  const bool pooled_warm = options.incremental && !options.warm;
-  const std::uint64_t warm_key =
-      pooled_warm ? RequestKey(request, options.proc_feasible, procs, nullptr)
-                  : 0;
-  // An incremental request whose configuration has no pooled warm state
-  // solves even when the cache could answer: only a real solve captures
-  // the DP sweep that later perturbed re-solves reuse. Without this, a
-  // process restarted onto a persistent cache would answer from disk
-  // forever and never rebuild its warm pool.
-  bool capture_solve = false;
-  if (response.cacheable && pooled_warm && !WarmPoolContains(warm_key)) {
-    capture_solve = true;
-    PIPEMAP_COUNTER_ADD("engine.cache.capture_solves", 1);
-  }
-  if (response.cacheable && !capture_solve) {
+  if (response.cacheable) {
     if (std::optional<CachedSolution> hit =
             cache_.Lookup(response.fingerprint)) {
       Replay(*hit, &response);
@@ -492,7 +441,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   // did not exist.
   std::shared_ptr<SingleFlightGroup::Flight> flight;
   bool flight_leader = false;
-  if (response.cacheable && !capture_solve) {
+  if (response.cacheable) {
     const auto joined = single_flight_.Join(response.fingerprint);
     flight = joined.first;
     flight_leader = joined.second;
@@ -534,35 +483,11 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
 
   // One warm-start state threads greedy's incumbent into the DP (and any
   // caller-provided state carries across engine calls on the same chain).
-  // Incremental requests without their own state check one out of the
-  // engine's pool, keyed by everything EXCEPT the chain: the captured DP
-  // sweep inside validates the chain's cost content itself (hash-based)
-  // and reuses whatever prefix is still clean, so a remap after a cost
-  // perturbation re-sweeps only the dirty suffix.
-  std::shared_ptr<WarmStartState> warm = options.warm;
-  if (pooled_warm) {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    const auto it = warm_pool_.find(warm_key);
-    if (it != warm_pool_.end()) {
-      warm = std::move(it->second);
-      warm_pool_.erase(it);
-      const auto pos =
-          std::find(warm_order_.begin(), warm_order_.end(), warm_key);
-      if (pos != warm_order_.end()) warm_order_.erase(pos);
-      PIPEMAP_COUNTER_ADD("engine.warm_pool.hits", 1);
-    } else {
-      PIPEMAP_COUNTER_ADD("engine.warm_pool.misses", 1);
-    }
-  }
-  if (!warm) {
-    warm = std::make_shared<WarmStartState>();
-  }
-  options.warm = warm;
-  const std::uint64_t built0 = warm->tables_built;
-  const std::uint64_t reused0 = warm->tables_reused;
-  const std::uint64_t seeded0 = warm->incumbents_seeded;
-  const std::uint64_t captured0 = warm->sweeps_captured;
-  const std::uint64_t prefix0 = warm->prefix_reused;
+  if (!options.warm) options.warm = std::make_shared<WarmStartState>();
+  WarmStartState& warm = *options.warm;
+  const std::uint64_t built0 = warm.tables_built;
+  const std::uint64_t reused0 = warm.tables_reused;
+  const std::uint64_t seeded0 = warm.incumbents_seeded;
 
   // Portfolio stage list: kAuto escalates greedy → DP (→ brute force on
   // tiny instances) for throughput and runs the latency DP otherwise;
@@ -612,7 +537,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
         best_value = value;
         best = std::move(result);
         // Feed the incumbent forward for the next stage's pruning bound.
-        warm->incumbent = best->mapping;
+        warm.incumbent = best->mapping;
       }
     } catch (const Infeasible&) {
       last_error = std::current_exception();
@@ -632,22 +557,10 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   response.work = best->work;
   response.pruned_cells = best->pruned_cells;
   response.solver = ran;
-  response.warm_tables_built = warm->tables_built - built0;
-  response.warm_tables_reused = warm->tables_reused - reused0;
-  response.warm_incumbents_seeded = warm->incumbents_seeded - seeded0;
-  response.warm_sweeps_captured = warm->sweeps_captured - captured0;
-  response.warm_sweep_prefix_reused = warm->prefix_reused - prefix0;
+  response.warm_tables_built = warm.tables_built - built0;
+  response.warm_tables_reused = warm.tables_reused - reused0;
+  response.warm_incumbents_seeded = warm.incumbents_seeded - seeded0;
   response.solve_seconds = SecondsSince(start);
-
-  // Return the pooled state so the next incremental request on the same
-  // machine/options finds the sweep this solve just captured. On an
-  // exception above the state is simply dropped — the next request solves
-  // cold, which is always correct.
-  if (pooled_warm) {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    FifoInsert(warm_pool_, warm_order_, config_.cache_capacity, warm_key,
-               warm);
-  }
 
   if (response.timed_out) PIPEMAP_COUNTER_ADD("engine.map.timed_out", 1);
 
@@ -680,36 +593,11 @@ std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned_eval;
   const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
-  const MapperOptions options = ResolveOptions(request, procs);
-
-  // Whole-sweep memoization: a repeated sweep on an unchanged problem is
-  // answered without a single DP solve. The key extends the request key
-  // with the sweep parameter, under the same cacheability rule as Map.
-  const std::uint64_t key =
-      SweepKey(request, options.proc_feasible, procs, eval, "frontier",
-               static_cast<double>(num_points));
-  const bool cacheable = key != 0;
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    const auto it = frontier_cache_.find(key);
-    if (it != frontier_cache_.end()) {
-      PIPEMAP_COUNTER_ADD("engine.frontier.cache_hits", 1);
-      if (stats != nullptr) ++stats->cache_hits;
-      return it->second;
-    }
-    PIPEMAP_COUNTER_ADD("engine.frontier.cache_misses", 1);
-  }
-
-  std::vector<FrontierPoint> frontier =
-      WarmSweep(options, stats, [&](const MapperOptions& with_warm) {
-        return LatencyThroughputFrontier(eval, procs, num_points, with_warm);
-      });
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    FifoInsert(frontier_cache_, frontier_order_, config_.cache_capacity, key,
-               frontier);
-  }
-  return frontier;
+  return WarmSweep(ResolveOptions(request, procs), stats,
+                   [&](const MapperOptions& with_warm) {
+                     return LatencyThroughputFrontier(eval, procs, num_points,
+                                                      with_warm);
+                   });
 }
 
 ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
@@ -720,33 +608,11 @@ ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned_eval;
   const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
-
-  const MapperOptions options = ResolveOptions(request, procs);
-  const std::uint64_t key = SweepKey(request, options.proc_feasible, procs,
-                                     eval, "sizing", target_throughput);
-  const bool cacheable = key != 0;
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    const auto it = sizing_cache_.find(key);
-    if (it != sizing_cache_.end()) {
-      PIPEMAP_COUNTER_ADD("engine.min_procs.cache_hits", 1);
-      if (stats != nullptr) ++stats->cache_hits;
-      return it->second;
-    }
-    PIPEMAP_COUNTER_ADD("engine.min_procs.cache_misses", 1);
-  }
-
-  ProcCountResult result =
-      WarmSweep(options, stats, [&](const MapperOptions& with_warm) {
-        return MinProcessorsForThroughput(eval, procs, target_throughput,
-                                          with_warm);
-      });
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    FifoInsert(sizing_cache_, sizing_order_, config_.cache_capacity, key,
-               result);
-  }
-  return result;
+  return WarmSweep(ResolveOptions(request, procs), stats,
+                   [&](const MapperOptions& with_warm) {
+                     return MinProcessorsForThroughput(
+                         eval, procs, target_throughput, with_warm);
+                   });
 }
 
 }  // namespace pipemap

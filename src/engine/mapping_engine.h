@@ -38,20 +38,15 @@
 // one solve (engine/single_flight.h) whose result fans out to every
 // waiter with MapResponse::shared_solve provenance.
 //
-// Sweeps (Frontier, MinProcs) are cached whole under the same key
-// extended by the sweep parameter: a repeated sweep on an unchanged
-// problem returns the memoized points without running a single DP solve.
-// Within a first (uncached) sweep, the warm-start state still carries
-// range tables and incumbents across the sweep's solves.
+// Sweeps (Frontier, MinProcs) are not cached: each call solves, and one
+// warm-start state carries range tables and incumbents across the
+// sweep's solves.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -175,12 +170,6 @@ struct MapResponse {
   std::uint64_t warm_tables_built = 0;
   std::uint64_t warm_tables_reused = 0;
   std::uint64_t warm_incumbents_seeded = 0;
-  /// Incremental re-solve activity (MapperOptions::incremental): sweeps
-  /// captured for future reuse and solves that reused a captured sweep's
-  /// clean prefix. Purely informational — incremental results are
-  /// byte-identical to cold ones.
-  std::uint64_t warm_sweeps_captured = 0;
-  std::uint64_t warm_sweep_prefix_reused = 0;
   /// kAuto stopped escalating because time_budget_s was spent.
   bool budget_exhausted = false;
   /// A solver was interrupted mid-stage by the request deadline and
@@ -203,9 +192,6 @@ struct SweepStats {
   std::uint64_t warm_tables_built = 0;
   std::uint64_t warm_tables_reused = 0;
   std::uint64_t warm_incumbents_seeded = 0;
-  /// Sweeps answered whole from the engine's sweep cache; such calls run
-  /// zero solves, so the other counters stay untouched.
-  std::uint64_t cache_hits = 0;
 };
 
 struct EngineConfig {
@@ -236,18 +222,15 @@ class MappingEngine {
   /// The latency/throughput Pareto frontier on the request's machine and
   /// budget. All solves in the sweep share one warm-start state (range
   /// tables and incumbents carry across floors); `stats`, when non-null,
-  /// receives the reuse counts. The request's objective field is ignored.
-  /// When the request is cacheable (use_cache set, nonzero key) the
-  /// whole sweep is memoized under (key, num_points) and a repeat returns
-  /// the identical points without solving.
+  /// receives the reuse counts. The request's objective and use_cache
+  /// fields are ignored.
   std::vector<FrontierPoint> Frontier(const MapRequest& request,
                                       int num_points,
                                       SweepStats* stats = nullptr);
 
   /// Smallest processor count reaching `target_throughput`, warm-starting
   /// the binary search's solves like Frontier. The request's total_procs
-  /// (or the machine size) bounds the search. Memoized whole under
-  /// (key, target) exactly like Frontier.
+  /// (or the machine size) bounds the search.
   ProcCountResult MinProcs(const MapRequest& request,
                            double target_throughput,
                            SweepStats* stats = nullptr);
@@ -271,38 +254,12 @@ class MappingEngine {
   static MappingEngine& Shared();
 
  private:
-  bool WarmPoolContains(std::uint64_t key);
-
   EngineConfig config_;
   SolutionCache cache_;
   /// Leader-election table collapsing concurrent identical solves
   /// (engine/single_flight.h); consulted only after a cache miss on
   /// cacheable requests.
   SingleFlightGroup single_flight_;
-
-  /// Whole-sweep memoization (Frontier / MinProcs), FIFO-bounded at
-  /// config_.cache_capacity entries each. Sweep results are small (a
-  /// handful of mappings), so value storage is cheaper than re-deriving
-  /// them from the per-solve cache would be.
-  std::mutex sweep_mu_;
-  std::unordered_map<std::uint64_t, std::vector<FrontierPoint>>
-      frontier_cache_;
-  std::deque<std::uint64_t> frontier_order_;
-  std::unordered_map<std::uint64_t, ProcCountResult> sizing_cache_;
-  std::deque<std::uint64_t> sizing_order_;
-
-  /// Warm-start pool for incremental re-solves (MapperOptions::
-  /// incremental): states keyed by the request key MINUS its cost part,
-  /// so a re-solve of a perturbed chain — a repair remap
-  /// after cost drift, a refinement iteration — finds the state captured
-  /// by the previous solve of the same machine/options/budget and reuses
-  /// the DP sweep's clean prefix. Entries are checked out exclusively
-  /// (removed under the lock, re-attached after the solve), so concurrent
-  /// requests never share mutable sweep state; a second concurrent request
-  /// simply misses and solves cold. FIFO-bounded like the sweep caches.
-  std::unordered_map<std::uint64_t, std::shared_ptr<WarmStartState>>
-      warm_pool_;
-  std::deque<std::uint64_t> warm_order_;
 };
 
 }  // namespace pipemap

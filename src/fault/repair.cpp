@@ -176,10 +176,6 @@ RepairOutcome RepairEngine::Repair(const RepairRequest& request) const {
     mr.objective = MapObjective::kThroughput;
     mr.solver = SolverPolicy::kAuto;
     mr.options = request.options;
-    // Remaps after repeated faults revisit near-identical DP grids; let the
-    // solver capture its sweep so retry attempts (and later repairs sharing
-    // this warm state) re-sweep only the cost-dirty suffix.
-    mr.options.incremental = true;
     mr.use_cache = request.use_cache;
     auto warm = std::make_shared<WarmStartState>();
     if (shrunk_valid) warm->incumbent = shrunk;

@@ -413,7 +413,7 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
         auto parsed = ParseServerRequest(payload);
         job = std::make_shared<Job>();
         job->request = std::move(parsed);
-        // Admission assigns the TraceContext: a client-supplied id is
+        // Admission assigns the trace id: a client-supplied id is
         // kept, everything else gets a fresh one, so every request in
         // the process is joinable across response / spans / access log.
         if (job->request.trace_id == 0) {

@@ -5,7 +5,7 @@
 // protocol in server/protocol.h, a bounded admission queue decouples
 // connection handling from solving, and a fixed pool of solver workers
 // drains the queue into one shared MappingEngine — so every request in
-// the process sees the same solution cache and warm pool.
+// the process sees the same solution cache.
 //
 // Threading model:
 //   * one accept thread; one lightweight thread per connection (reads
@@ -34,7 +34,7 @@
 // bytes in request sections pass through JsonWriter's sanitizing escaper,
 // so the server never emits a malformed document.
 //
-// Observability (DESIGN.md §9): every request carries a TraceContext —
+// Observability (DESIGN.md §9): every request carries a trace id —
 // client-supplied `trace_id` or one generated at admission — that is
 // echoed in the response, stamped on correlated Tracer spans
 // (server.request / server.queue_wait / server.solve, arg = trace id,

@@ -6,7 +6,8 @@
 // tools/trace_join.py — follows a single request across all of them.
 //
 // Ids are either client-supplied (the `trace_id` protocol field) or
-// generated at admission. Generation must be cheap and collision-free
+// generated at admission; 0 means "no trace id assigned", and generated
+// and parsed ids are never zero. Generation must be cheap and collision-free
 // within a process: a per-process random seed is mixed with a monotone
 // counter through a splitmix64 finalizer, so concurrent admitters never
 // hand out the same id and ids do not reveal the request count.
@@ -23,14 +24,6 @@
 #include <string_view>
 
 namespace pipemap {
-
-/// Identity of one in-flight request. Zero means "no trace id assigned";
-/// generated and parsed ids are never zero.
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-
-  bool valid() const { return trace_id != 0; }
-};
 
 /// A fresh process-unique trace id (never 0). Thread-safe, lock-free.
 std::uint64_t GenerateTraceId();

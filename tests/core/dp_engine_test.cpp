@@ -332,9 +332,9 @@ TEST(DpEngineTest, WarmStartRebuildsWhenEvaluatorChanges) {
 
 TEST(DpEngineTest, WarmStateSharedAcrossFeasibilityTablesMatchesCold) {
   // One warm state serves a throughput DP and a latency DP under odd
-  // counts, then both again under powers of two. The range tables, sweep
-  // and incumbent left by the first table must not shape the second
-  // pair's answers: each equals its cold solve byte for byte.
+  // counts, then both again under powers of two. The range tables and
+  // incumbent left by the first table must not shape the second pair's
+  // answers: each equals its cold solve byte for byte.
   constexpr int kProcs = 24;
   const FeasibleProcs odd =
       pipemap::testing::TableOf(kProcs, [](int p) { return p % 2 == 1; });
@@ -350,14 +350,12 @@ TEST(DpEngineTest, WarmStateSharedAcrossFeasibilityTablesMatchesCold) {
     MapperOptions options;
     options.num_threads = 1;
     options.warm = std::make_shared<WarmStartState>();
-    options.incremental = true;
     for (const FeasibleProcs* table : {&odd, &pow2}) {
       SCOPED_TRACE("seed " + std::to_string(seed) +
                    (table == &odd ? " odd" : " pow2"));
       options.proc_feasible = *table;
       MapperOptions cold = options;
       cold.warm = nullptr;
-      cold.incremental = false;
 
       MapResult cold_dp;
       try {

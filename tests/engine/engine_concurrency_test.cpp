@@ -1,7 +1,7 @@
 // Concurrent MappingEngine use: the server layer drains many requests
 // into one shared engine, so Map/Frontier/MinProcs must be safe — and
 // deterministic — when called from many threads against the same
-// solution cache, sweep caches, and warm pool. This test also compiles
+// solution cache and single-flight group. This test also compiles
 // into a ThreadSanitizer target (engine_concurrency_tsan, see
 // tests/CMakeLists.txt), which is where the race-freedom claim is
 // actually certified.
@@ -61,9 +61,9 @@ TEST(EngineConcurrencyTest, MixedMapAndSweepTrafficIsSafeAndDeterministic) {
   }
 
   // Hammer one shared engine from many threads with a mixed request
-  // stream: maps (cold, then cache hits), frontiers (whole-sweep memo),
-  // incremental warm-pool traffic. Every answer must be byte-identical
-  // to the serial reference.
+  // stream: maps (cold, then cache hits), frontiers (a warm sweep each),
+  // and maps that bypass the cache and always solve. Every answer must be
+  // byte-identical to the serial reference.
   MappingEngine shared;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -94,9 +94,9 @@ TEST(EngineConcurrencyTest, MixedMapAndSweepTrafficIsSafeAndDeterministic) {
             break;
           }
           default: {
-            // Warm-pool traffic: incremental solves check warm state out
-            // of the shared pool exclusively and re-attach it after.
-            request.options.incremental = true;
+            // Uncached traffic: every such request solves, concurrently
+            // with the cached traffic on the same engine.
+            request.use_cache = false;
             const MapResponse response = shared.Map(request);
             if (SerializeMapping(response.mapping) !=
                 expected_mappings[static_cast<std::size_t>(v)]) {

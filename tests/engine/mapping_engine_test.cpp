@@ -481,72 +481,6 @@ TEST(MappingEngineTest, FrontierMatchesDirectSweepAndReusesTables) {
   }
 }
 
-TEST(MappingEngineTest, FrontierRepeatAnsweredFromSweepCache) {
-  const Workload radar = workloads::MakeRadar(CommMode::kMessage);
-  MappingEngine engine;
-
-  MapRequest request;
-  request.chain = &radar.chain;
-  request.machine = radar.machine;
-  SweepStats first_stats;
-  const std::vector<FrontierPoint> first =
-      engine.Frontier(request, 5, &first_stats);
-  EXPECT_EQ(first_stats.cache_hits, 0u);
-  EXPECT_GT(first_stats.solves, 0u);
-
-  SweepStats repeat_stats;
-  const std::vector<FrontierPoint> repeat =
-      engine.Frontier(request, 5, &repeat_stats);
-  EXPECT_EQ(repeat_stats.cache_hits, 1u);
-  EXPECT_EQ(repeat_stats.solves, 0u);
-  ASSERT_EQ(repeat.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(repeat[i].mapping, first[i].mapping) << "point " << i;
-    EXPECT_EQ(repeat[i].throughput, first[i].throughput);
-    EXPECT_EQ(repeat[i].latency, first[i].latency);
-  }
-
-  // A different point count is a different sweep, and opting out of the
-  // cache always solves.
-  SweepStats other_stats;
-  engine.Frontier(request, 4, &other_stats);
-  EXPECT_EQ(other_stats.cache_hits, 0u);
-  request.use_cache = false;
-  SweepStats uncached_stats;
-  engine.Frontier(request, 5, &uncached_stats);
-  EXPECT_EQ(uncached_stats.cache_hits, 0u);
-  EXPECT_GT(uncached_stats.solves, 0u);
-}
-
-TEST(MappingEngineTest, MinProcsRepeatAnsweredFromSweepCache) {
-  const Workload radar = workloads::MakeRadar(CommMode::kMessage);
-  MappingEngine engine;
-
-  MapRequest request;
-  request.chain = &radar.chain;
-  request.machine = radar.machine;
-  const double target = engine.Map(request).throughput / 2.0;
-
-  SweepStats first_stats;
-  const ProcCountResult first = engine.MinProcs(request, target, &first_stats);
-  EXPECT_EQ(first_stats.cache_hits, 0u);
-  EXPECT_GT(first_stats.solves, 0u);
-
-  SweepStats repeat_stats;
-  const ProcCountResult repeat =
-      engine.MinProcs(request, target, &repeat_stats);
-  EXPECT_EQ(repeat_stats.cache_hits, 1u);
-  EXPECT_EQ(repeat_stats.solves, 0u);
-  EXPECT_EQ(repeat.procs, first.procs);
-  EXPECT_EQ(repeat.mapping, first.mapping);
-  EXPECT_EQ(repeat.throughput, first.throughput);
-
-  // A different target misses.
-  SweepStats other_stats;
-  engine.MinProcs(request, target * 1.5, &other_stats);
-  EXPECT_EQ(other_stats.cache_hits, 0u);
-}
-
 // Regression: FFT-Hist 512 has memory minima that make module configs
 // invalid under tight frontier floors, so the incumbent carried from an
 // earlier floor lands on tables where a LATER module's config is invalid.
@@ -674,61 +608,6 @@ TEST(MappingEngineTest, InvalidRequestsThrow) {
   }
 }
 
-/// The chain with its last edge's communication costs scaled by `factor`
-/// (a suffix-only perturbation, as a drifted cost model would produce).
-TaskChain ScaleLastEdge(const TaskChain& chain, double factor) {
-  const int edge = chain.size() - 2;
-  ChainCostModel costs = chain.costs();
-  std::shared_ptr<ScalarCost> icom(costs.IComFn(edge).Clone());
-  std::shared_ptr<PairCost> ecom(costs.EComFn(edge).Clone());
-  costs.SetEdge(
-      edge,
-      std::make_unique<CallbackScalarCost>(
-          [icom, factor](int p) { return icom->Eval(p) * factor; }),
-      std::make_unique<CallbackPairCost>([ecom, factor](int s, int r) {
-        return ecom->Eval(s, r) * factor;
-      }));
-  return chain.WithCosts(std::move(costs));
-}
-
-TEST(MappingEngineTest, IncrementalWarmPoolReusesSweepAcrossRequests) {
-  MappingEngine engine;
-  const TaskChain chain = ThreeTaskChain();
-  MapRequest request = RequestFor(chain, SmallMachine());
-  request.solver = SolverPolicy::kDp;
-  request.use_cache = false;
-  request.options.incremental = true;
-  const MapResponse first = engine.Map(request);
-  EXPECT_EQ(first.warm_sweeps_captured, 1u);
-  EXPECT_EQ(first.warm_sweep_prefix_reused, 0u);
-
-  // A perturbed chain keys to the same pool entry (the chain is excluded
-  // from the pool key) and reuses the captured sweep's clean prefix.
-  const TaskChain perturbed = ScaleLastEdge(chain, 1.05);
-  MapRequest again = RequestFor(perturbed, SmallMachine());
-  again.solver = SolverPolicy::kDp;
-  again.use_cache = false;
-  again.options.incremental = true;
-  const MapResponse warm = engine.Map(again);
-  EXPECT_EQ(warm.warm_sweep_prefix_reused, 1u);
-
-  // Byte-identical to a cold solve of the perturbed chain.
-  MappingEngine cold_engine;
-  MapRequest cold = RequestFor(perturbed, SmallMachine());
-  cold.solver = SolverPolicy::kDp;
-  cold.use_cache = false;
-  const MapResponse cold_response = cold_engine.Map(cold);
-  EXPECT_EQ(SerializeMapping(warm.mapping),
-            SerializeMapping(cold_response.mapping));
-  EXPECT_EQ(warm.throughput, cold_response.throughput);
-  EXPECT_EQ(warm.objective_value, cold_response.objective_value);
-
-  const std::string json = warm.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
-  EXPECT_NE(json.find("\"sweeps_captured\""), std::string::npos);
-  EXPECT_NE(json.find("\"sweep_prefix_reused\""), std::string::npos);
-}
-
 /// A fresh, empty scratch directory under gtest's per-test temp root.
 std::string ScratchDir(const std::string& name) {
   const std::filesystem::path dir =
@@ -773,61 +652,6 @@ TEST(MappingEngineTest, PersistentTierServesRestartedProcessFromDisk) {
   const std::string json = disk.ToJson();
   EXPECT_TRUE(IsValidJson(json)) << json;
   EXPECT_NE(json.find("\"cache_tier\": \"disk\""), std::string::npos);
-}
-
-TEST(MappingEngineTest, RestartedIncrementalRequestRecapturesTheSweep) {
-  // The persistent tier must not starve the warm pool: after a restart,
-  // an incremental request whose configuration has no pooled sweep solves
-  // once more (capture) even though disk could answer it — and the
-  // perturbed re-solve then reuses the captured prefix, exactly as in a
-  // never-restarted process.
-  const std::string dir = ScratchDir("engine_recapture");
-  EngineConfig config;
-  config.cache_dir = dir;
-  const TaskChain chain = ThreeTaskChain();
-  {
-    MappingEngine writer(config);
-    MapRequest request = RequestFor(chain, SmallMachine());
-    request.solver = SolverPolicy::kDp;
-    request.use_cache = true;
-    request.options.incremental = true;
-    const MapResponse first = writer.Map(request);
-    EXPECT_FALSE(first.cache_hit);
-    EXPECT_EQ(first.warm_sweeps_captured, 1u);
-    writer.cache().FlushPersistence();
-  }
-
-  MappingEngine engine(config);
-  MapRequest request = RequestFor(chain, SmallMachine());
-  request.solver = SolverPolicy::kDp;
-  request.use_cache = true;
-  request.options.incremental = true;
-  const MapResponse captured = engine.Map(request);
-  EXPECT_FALSE(captured.cache_hit);  // solved to capture, not read from disk
-  EXPECT_EQ(captured.warm_sweeps_captured, 1u);
-
-  // With the pool rebuilt, the identical request is a plain cache hit…
-  const MapResponse hit = engine.Map(request);
-  EXPECT_TRUE(hit.cache_hit);
-
-  // …and a perturbed re-solve reuses the recaptured sweep's clean prefix,
-  // byte-identical to a cold solve of the perturbed chain.
-  const TaskChain perturbed = ScaleLastEdge(chain, 1.05);
-  MapRequest again = RequestFor(perturbed, SmallMachine());
-  again.solver = SolverPolicy::kDp;
-  again.use_cache = true;
-  again.options.incremental = true;
-  const MapResponse warm = engine.Map(again);
-  EXPECT_EQ(warm.warm_sweep_prefix_reused, 1u);
-
-  MappingEngine cold_engine;
-  MapRequest cold = RequestFor(perturbed, SmallMachine());
-  cold.solver = SolverPolicy::kDp;
-  cold.use_cache = false;
-  const MapResponse cold_response = cold_engine.Map(cold);
-  EXPECT_EQ(SerializeMapping(warm.mapping),
-            SerializeMapping(cold_response.mapping));
-  EXPECT_EQ(warm.throughput, cold_response.throughput);
 }
 
 }  // namespace

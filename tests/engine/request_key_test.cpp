@@ -178,9 +178,9 @@ TEST(RequestKeyTest, KeyDependsOnlyOnTheAdmittedCounts) {
 }
 
 TEST(RequestKeyTest, ExecutionKnobsDoNotMoveTheKey) {
-  // Threads, observation, warm-start state, incremental capture and
-  // deadlines cannot change a cacheable answer, so they stay out of the
-  // key: requests differing only in them share cache entries.
+  // Threads, observation, warm-start state and deadlines cannot change a
+  // cacheable answer, so they stay out of the key: requests differing
+  // only in them share cache entries.
   const TaskChain chain = testing::SmallChain();
   MapRequest plain;
   plain.chain = &chain;
@@ -190,7 +190,6 @@ TEST(RequestKeyTest, ExecutionKnobsDoNotMoveTheKey) {
   knobs.options.num_threads = 7;
   knobs.options.observe = true;
   knobs.options.warm = std::make_shared<WarmStartState>();
-  knobs.options.incremental = true;
   knobs.options.deadline = Deadline::After(60.0);
   knobs.time_budget_s = 60.0;
   knobs.trace_id = 42;

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "core/evaluator.h"
+#include "core/warm_start.h"
 #include "support/error.h"
+#include "support/metrics.h"
 #include "workloads/fft_hist.h"
+#include "workloads/synthetic.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -146,6 +152,69 @@ TEST(RepairEngineTest, WarmRepairSeedsTheIncumbent) {
   // The drop-replica candidate exists (replicas >= 2), so the remap solve
   // starts from a feasible incumbent.
   EXPECT_TRUE(outcome.warm_start_used);
+}
+
+TEST(RepairEngineTest, FullRemapDoesTheWorkOfAPlainSeededSolve) {
+  // A full remap is one engine solve on the survivors, seeded with the
+  // drop-replica candidate: same mapping and the same DP cells as Map on
+  // that request, so the remap prunes like any other solve.
+  const ScopedMetricsEnable metrics(true);
+  MetricsRegistry::Counter* cells =
+      MetricsRegistry::Global().GetCounter("dp.cells_evaluated");
+  workloads::SyntheticSpec spec;
+  spec.num_tasks = 8;
+  spec.machine_procs = 48;
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Workload w = workloads::MakeSynthetic(spec, seed);
+    MapRequest healthy;
+    healthy.chain = &w.chain;
+    healthy.machine = w.machine;
+    healthy.options.num_threads = 1;
+    const Mapping failed = MappingEngine().Map(healthy).mapping;
+    int module = 0;
+    while (module < failed.num_modules() &&
+           failed.modules[static_cast<std::size_t>(module)].replicas < 2) {
+      ++module;
+    }
+    if (module == failed.num_modules()) continue;
+    const ModuleAssignment& victim =
+        failed.modules[static_cast<std::size_t>(module)];
+
+    RepairRequest request;
+    request.chain = &w.chain;
+    request.machine = w.machine;
+    request.failed_mapping = failed;
+    request.failed_module = module;
+    request.failed_instances = 1;
+    request.policy = RepairPolicy::kFullRemap;
+    request.options.num_threads = 1;
+    MappingEngine repair_engine;
+    const std::uint64_t cells0 = cells->Total();
+    const RepairOutcome outcome =
+        RepairEngine(&repair_engine).Repair(request);
+    const std::uint64_t repair_cells = cells->Total() - cells0;
+
+    MapRequest survivors = healthy;
+    survivors.total_procs =
+        w.machine.total_procs() - victim.procs_per_instance;
+    survivors.options.warm = std::make_shared<WarmStartState>();
+    survivors.options.warm->incumbent = failed;
+    survivors.options.warm->incumbent
+        ->modules[static_cast<std::size_t>(module)]
+        .replicas -= 1;
+    const std::uint64_t cells1 = cells->Total();
+    const MapResponse reference = MappingEngine().Map(survivors);
+    const std::uint64_t reference_cells = cells->Total() - cells1;
+
+    EXPECT_EQ(outcome.mapping, reference.mapping);
+    EXPECT_EQ(outcome.post_fault_throughput, reference.throughput);
+    EXPECT_GT(reference_cells, 0u);
+    EXPECT_EQ(repair_cells, reference_cells);
+    ++checked;
+  }
+  EXPECT_GE(checked, 2);
 }
 
 TEST(RepairEngineTest, TimedOutRepairStillReturnsValidMapping) {

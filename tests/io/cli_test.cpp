@@ -104,6 +104,21 @@ TEST(CliTest, SwitchOfAnotherCommandIsRejected) {
   EXPECT_NE(output.find("usage:"), std::string::npos);
 }
 
+TEST(CliTest, SweepCommandsTakeNoEngineCacheFlag) {
+  // Sweeps are not cached, so frontier and size reject the map flag.
+  for (const char* command : {"frontier", "size"}) {
+    std::string output;
+    EXPECT_EQ(RunCommand({command, "--engine-cache", "--chain", "x",
+                          "--machine", "y"},
+                         &output),
+              1)
+        << command;
+    EXPECT_NE(output.find("unknown flag --engine-cache"), std::string::npos)
+        << command;
+    EXPECT_NE(output.find("usage:"), std::string::npos) << command;
+  }
+}
+
 TEST(CliTest, MissingFlagFails) {
   std::string output;
   EXPECT_EQ(RunCommand({"map", "--chain", "only"}, &output), 1);

@@ -55,11 +55,11 @@ commands:
             [--engine-cache] [--cache-dir DIR] [--cache-dir-max-bytes N]
   explain   --chain FILE --machine FILE --mapping FILE
   frontier  --chain FILE --machine FILE [--points N] [--threads N]
-            [--metrics FILE] [--trace FILE] [--engine-cache]
+            [--metrics FILE] [--trace FILE]
   diagnose  --chain FILE --machine FILE
   sensitivity --chain FILE --machine FILE --mapping FILE
   size      --chain FILE --machine FILE --target X [--threads N]
-            [--metrics FILE] [--trace FILE] [--engine-cache]
+            [--metrics FILE] [--trace FILE]
 
 --threads 0 (the default) uses every hardware thread for the mapping
 algorithms; --threads 1 forces the serial path. Mappings are identical for
@@ -549,8 +549,7 @@ int ExplainCommand(const std::vector<std::string>& args, std::ostream& out) {
 int FrontierCommand(const std::vector<std::string>& args, std::ostream& out) {
   const Flags flags("frontier", args, 1,
                     {"chain", "machine", "points", "threads", "metrics",
-                     "trace"},
-                    {"engine-cache"});
+                     "trace"});
   const LoadedProblem problem = Load(flags);
   const ObservationSession observation(flags);
   const int P = problem.machine.total_procs();
@@ -558,7 +557,6 @@ int FrontierCommand(const std::vector<std::string>& args, std::ostream& out) {
   request.chain = &problem.chain;
   request.machine = problem.machine;
   request.options.num_threads = flags.GetInt("threads", 0);
-  request.use_cache = flags.Has("engine-cache");
   const int points = flags.GetInt("points", 6);
   SweepStats stats;
   const std::vector<FrontierPoint> frontier =
@@ -570,10 +568,6 @@ int FrontierCommand(const std::vector<std::string>& args, std::ostream& out) {
   }
   out << "warm start: " << stats.warm_tables_reused << " of " << stats.solves
       << " DP solves reused range tables\n";
-  if (flags.Has("engine-cache")) {
-    out << "engine cache: " << (stats.cache_hits > 0 ? "hit" : "miss")
-        << "\n";
-  }
   observation.Write(out);
   return 0;
 }
@@ -614,8 +608,7 @@ int SensitivityCommand(const std::vector<std::string>& args,
 int SizeCommand(const std::vector<std::string>& args, std::ostream& out) {
   const Flags flags("size", args, 1,
                     {"chain", "machine", "target", "threads", "metrics",
-                     "trace"},
-                    {"engine-cache"});
+                     "trace"});
   const LoadedProblem problem = Load(flags);
   const ObservationSession observation(flags);
   const double target = CheckedDouble("target", flags.Require("target"));
@@ -624,7 +617,6 @@ int SizeCommand(const std::vector<std::string>& args, std::ostream& out) {
   request.chain = &problem.chain;
   request.machine = problem.machine;
   request.options.num_threads = flags.GetInt("threads", 0);
-  request.use_cache = flags.Has("engine-cache");
   const ProcCountResult r = MappingEngine::Shared().MinProcs(request, target);
   out << "target throughput: " << target << " data sets/s\n";
   out << "minimum processors: " << r.procs << " (of " << max_procs << ")\n";

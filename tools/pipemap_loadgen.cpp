@@ -11,7 +11,7 @@
 // Trace propagation: every request carries a generated trace_id
 // (support/trace_context.h); the worker verifies the response echoes it
 // back, so the loadgen doubles as an end-to-end test of the server's
-// TraceContext plumbing. --trace-ids dumps every id sent (one hex id
+// trace-id plumbing. --trace-ids dumps every id sent (one hex id
 // per line) for joining against the server's access log.
 //
 // Output: one JSON summary on stdout — requests/s, latency percentiles
