@@ -122,10 +122,59 @@ struct DpContext {
     return RangeIndex(first, last) *
            static_cast<std::size_t>(tables->budget_stride);
   }
-  int MinBudget(int first, int last) const {
-    return tables->min_budget[RangeIndex(first, last)];
-  }
 };
+
+/// Budget floors under a threshold θ on the objective. A configuration
+/// fits when it is valid and its module's body-only cost (Body / replicas
+/// for the bottleneck, Body for the path sum) is at most θ. `fit_min` is a
+/// range's least fitting budget within the solve's cap (kInfeasibleProcs
+/// when none), and `suffix[t]` the least total budget that maps tasks
+/// t..k-1 with fitting modules (suffix[k] = 0). With costs >= 0 every
+/// completion's objective is at least each of its modules' body-only cost
+/// (rounding is monotone), so a state whose remaining processors are below
+/// the floor of what follows it has no completion <= θ. At θ = +inf every
+/// valid configuration fits.
+struct BudgetFloors {
+  std::vector<char> fits;  // laid out like DpRangeTables::cfg_valid
+  std::vector<int> fit_min;
+  std::vector<long long> suffix;
+};
+
+BudgetFloors FloorsUnder(const DpContext& ctx, double threshold) {
+  const DpRangeTables& tables = *ctx.tables;
+  const int k = ctx.k;
+  BudgetFloors out;
+  out.fits = tables.cfg_valid;
+  out.fit_min.assign(static_cast<std::size_t>(k) * k, kInfeasibleProcs);
+  for (int first = 0; first < k; ++first) {
+    for (int last = first; last < std::min(k, first + ctx.max_len); ++last) {
+      const std::size_t base = ctx.CfgBase(first, last);
+      int& least = out.fit_min[ctx.RangeIndex(first, last)];
+      for (int b = ctx.cap; b >= 1; --b) {
+        char& fit = out.fits[base + b];
+        if (fit && threshold < kInf) {
+          const double body =
+              ctx.eval->Body(first, last, tables.cfg_procs[base + b]);
+          fit = (ctx.path_sum ? body : body / tables.cfg_replicas[base + b]) <=
+                threshold;
+        }
+        if (fit) least = b;
+      }
+    }
+  }
+  out.suffix.assign(k + 1, 0);
+  for (int t = k - 1; t >= 0; --t) {
+    long long best = std::numeric_limits<long long>::max() / 4;
+    for (int last = t; last < std::min(k, t + ctx.max_len); ++last) {
+      const int least = out.fit_min[ctx.RangeIndex(t, last)];
+      if (least >= kInfeasibleProcs) continue;
+      best = std::min(best,
+                      static_cast<long long>(least) + out.suffix[last + 1]);
+    }
+    out.suffix[t] = best;
+  }
+  return out;
+}
 
 /// Objective value of a fully specified clustering under the DP's exact
 /// aggregation and response-cap rules; kInf when any module violates the
@@ -173,7 +222,7 @@ double EvaluateClustering(const DpContext& ctx,
     const double resp = (in_com + body + out_com) / cfg.replicas;
     if (resp > ctx.response_cap) return kInf;
     if (ctx.path_sum) {
-      total += body + out_com;
+      total = total + body + out_com;  // the sweep's (v + body) + out
     } else {
       total = std::max(total, resp);
     }
@@ -209,9 +258,11 @@ Mapping MappingFromClustering(const DpContext& ctx,
 /// Cheap feasible incumbent for dominance pruning: the whole chain as one
 /// module (when clustering is allowed) and a singleton clustering whose
 /// leftover processors are dealt greedily to the module with the worst
-/// effective body time. Any feasible value is a valid upper bound on the
+/// effective body time, starting from `min_budget` (per range, the least
+/// valid budget). Any feasible value is a valid upper bound on the
 /// optimum; quality only affects how much gets pruned.
-Incumbent IncumbentBound(const DpContext& ctx) {
+Incumbent IncumbentBound(const DpContext& ctx,
+                         const std::vector<int>& min_budget) {
   const Evaluator& eval = *ctx.eval;
   Incumbent best;
   auto offer = [&](const std::vector<std::pair<int, int>>& modules,
@@ -231,7 +282,7 @@ Incumbent IncumbentBound(const DpContext& ctx) {
   std::vector<int> budgets;
   long long used = 0;
   for (int t = 0; t < ctx.k; ++t) {
-    const int mb = ctx.MinBudget(t, t);
+    const int mb = min_budget[ctx.RangeIndex(t, t)];
     if (mb >= kInfeasibleProcs || mb > ctx.cap) return best;
     singles.emplace_back(t, t);
     budgets.push_back(mb);
@@ -443,8 +494,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
   const bool path_sum = ctx.path_sum;
   const double response_cap = ctx.response_cap;
 
-  // Per-module-range configuration tables: flat (range, budget) arrays,
-  // the smallest usable budget per range, and the minimal suffix budgets.
+  // Per-module-range configuration tables: flat (range, budget) arrays.
   // A warm start whose tables match this problem skips the whole
   // tabulation; otherwise the tables are built here (ranges are
   // independent, so they tabulate in parallel; each worker writes only
@@ -485,8 +535,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
     tables.cfg_replicas.assign(cfg_size, 0);
     tables.cfg_procs.assign(cfg_size, 0);
     tables.cfg_valid.assign(cfg_size, 0);
-    tables.min_budget.assign(static_cast<std::size_t>(k) * k,
-                             kInfeasibleProcs);
     std::vector<std::pair<int, int>> ranges;
     for (int first = 0; first < k; ++first) {
       for (int last = first; last < std::min(k, first + max_len); ++last) {
@@ -504,8 +552,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
           [&](int, std::int64_t begin, std::int64_t end) {
             for (std::int64_t i = begin; i < end; ++i) {
               const auto [first, last] = ranges[i];
-              const std::size_t ri = ctx.RangeIndex(first, last);
-              const std::size_t base = ri * (cap + 1);
+              const std::size_t base = ctx.CfgBase(first, last);
               for (int b = 1; b <= cap; ++b) {
                 const ModuleConfig cfg =
                     problem.config_rule == DpConfigRule::kLatencyBody
@@ -516,26 +563,9 @@ DpSolution RunChainDp(const DpProblem& problem) {
                 tables.cfg_replicas[base + b] = cfg.replicas;
                 tables.cfg_procs[base + b] = cfg.valid ? cfg.procs : 0;
                 tables.cfg_valid[base + b] = cfg.valid ? 1 : 0;
-                if (cfg.valid && tables.min_budget[ri] > b) {
-                  tables.min_budget[ri] = b;
-                }
               }
             }
           });
-    }
-
-    // Minimal total budget needed to map tasks t..k-1 (for pruning and to
-    // detect infeasibility early).
-    tables.suffix_min.assign(k + 1, 0);
-    for (int t = k - 1; t >= 0; --t) {
-      long long best = std::numeric_limits<long long>::max() / 4;
-      for (int last = t; last < std::min(k, t + max_len); ++last) {
-        const int mb = tables.min_budget[ctx.RangeIndex(t, last)];
-        if (mb >= kInfeasibleProcs) continue;
-        best = std::min(
-            best, static_cast<long long>(mb) + tables.suffix_min[last + 1]);
-      }
-      tables.suffix_min[t] = best;
     }
     if (warm) {
       warm->tables.insert(warm->tables.begin(), ctx.tables);
@@ -545,17 +575,52 @@ DpSolution RunChainDp(const DpProblem& problem) {
       ++warm->tables_built;
     }
   }
-  const std::vector<long long>& suffix_min = ctx.tables->suffix_min;
-  if (suffix_min[0] > cap) {
+  // Budget floors, first with every valid configuration (θ = +inf): the
+  // least budget per range and per chain suffix, for the infeasibility
+  // test and the incumbent heuristics.
+  BudgetFloors floors = FloorsUnder(ctx, kInf);
+  if (floors.suffix[0] > cap) {
     throw Infeasible(
         "RunChainDp: not enough processors to satisfy module memory minima");
   }
-  const char* cfg_valid = ctx.tables->cfg_valid.data();
+
+  // Upper bound on the optimum from cheap heuristic mappings, tightened
+  // by the warm start's incumbent when one fits the current constraints.
+  // Dominance pruning skips cells whose optimistic bound strictly exceeds
+  // the threshold, so a state that ties or beats the incumbent is never
+  // lost and the returned mapping is identical with pruning off — and
+  // therefore identical warm or cold.
+  Incumbent incumbent = IncumbentBound(ctx, floors.fit_min);
+  bool seeded_incumbent = false;
+  if (warm && warm->incumbent) {
+    Incumbent seeded = IncumbentFromMapping(ctx, *warm->incumbent);
+    if (seeded.value < incumbent.value) {
+      incumbent = std::move(seeded);
+      seeded_incumbent = true;
+      ++warm->incumbents_seeded;
+      PIPEMAP_COUNTER_ADD("dp.warm_incumbents_seeded", 1);
+    }
+  }
+
+  // Then the floors under the incumbent's value θ, which is every
+  // non-terminal stage's frozen threshold (`best` moves only on terminal
+  // stages). The sweep reads only these: a configuration that does not fit
+  // is never seeded, laid out or extended to, and a state whose remaining
+  // processors are below the suffix floor is dropped before it is laid
+  // out. Such states have no completion <= θ, and every lane that has one
+  // keeps its first-minimum source, so the mapping and objective are the
+  // ones the unfloored sweep returns.
+  if (incumbent.value < kInf) floors = FloorsUnder(ctx, incumbent.value);
+  const char* fits = floors.fits.data();
+  const std::vector<long long>& suffix_floor = floors.suffix;
+  auto fit_min = [&](int first, int last) {
+    return floors.fit_min[ctx.RangeIndex(first, last)];
+  };
   const int* cfg_procs = ctx.tables->cfg_procs.data();
   const int* cfg_replicas = ctx.tables->cfg_replicas.data();
 
   // ---------------------------------------------------------------------
-  // Slot universe: the distinct per-instance processor counts any valid
+  // Slot universe: the distinct per-instance processor counts any fitting
   // configuration can hand to its successor, plus 0 for "no predecessor".
   // The previous-procs axis of the DP state is indexed by slot rank
   // instead of raw count — the axis shrinks from cap+1 to the number of
@@ -573,7 +638,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
       for (int last = first; last < std::min(k, first + max_len); ++last) {
         const std::size_t base = ctx.CfgBase(first, last);
         for (int b = 1; b <= cap; ++b) {
-          if (cfg_valid[base + b]) present[cfg_procs[base + b]] = 1;
+          if (fits[base + b]) present[cfg_procs[base + b]] = 1;
         }
       }
     }
@@ -586,24 +651,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
   }
   const int nslots = static_cast<int>(slot_procs.size());
   const int nslots4 = RoundUp4(nslots);
-
-  // Upper bound on the optimum from cheap heuristic mappings, tightened
-  // by the warm start's incumbent when one fits the current constraints.
-  // Dominance pruning skips cells whose optimistic bound strictly exceeds
-  // the threshold, so a state that ties or beats the incumbent is never
-  // lost and the returned mapping is identical with pruning off — and
-  // therefore identical warm or cold.
-  Incumbent incumbent = IncumbentBound(ctx);
-  bool seeded_incumbent = false;
-  if (warm && warm->incumbent) {
-    Incumbent seeded = IncumbentFromMapping(ctx, *warm->incumbent);
-    if (seeded.value < incumbent.value) {
-      incumbent = std::move(seeded);
-      seeded_incumbent = true;
-      ++warm->incumbents_seeded;
-      PIPEMAP_COUNTER_ADD("dp.warm_incumbents_seeded", 1);
-    }
-  }
 
   // The stage grid: the calling thread's retained buffers when it has
   // them, every stage unallocated.
@@ -694,10 +741,10 @@ DpSolution RunChainDp(const DpProblem& problem) {
   for (int len = 1; len <= std::min(max_len, k); ++len) {
     const int last = len - 1;
     const std::size_t cbase = ctx.CfgBase(0, last);
-    const long long suffix_needed = suffix_min[last + 1];
+    const long long suffix_needed = suffix_floor[last + 1];
     seeds.clear();
     for (int b = 1; b <= cap; ++b) {
-      if (!cfg_valid[cbase + b]) continue;
+      if (!fits[cbase + b]) continue;
       if (b + suffix_needed > cap) break;
       seeds.push_back(b);
     }
@@ -783,7 +830,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
           }
           for (int b = 1; b <= pu; ++b) {
             const std::uint32_t r = s.cells[cell_index(pu, b)].slot_range;
-            if (!cfg_valid[cbase + b] || (r >> 16) <= (r & 0xffffu)) {
+            if (!fits[cbase + b] || (r >> 16) <= (r & 0xffffu)) {
               continue;
             }
             const int sl =
@@ -798,8 +845,8 @@ DpSolution RunChainDp(const DpProblem& problem) {
       }
       for (int len2 = 1; len2 <= std::min(max_len, k - 1 - j); ++len2) {
         const int next_last = j + len2;
-        const int next_min = ctx.MinBudget(j + 1, next_last);
-        const long long tail = suffix_min[next_last + 1];
+        const int next_min = fit_min(j + 1, next_last);
+        const long long tail = suffix_floor[next_last + 1];
         if (next_min >= kInfeasibleProcs ||
             min_live_pu + next_min + tail > cap) {
           continue;
@@ -811,7 +858,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
           const int span = row_hi[pu] - row_lo[pu];
           if (span <= 0) continue;
           for (int b2 = next_min; b2 <= cap - pu - tail; ++b2) {
-            if (!cfg_valid[nbase + b2]) continue;
+            if (!fits[nbase + b2]) continue;
             ns.cells[cell_index(pu + b2, b2)].lane_base =
                 static_cast<std::uint32_t>(lanes - row_lo[pu]);
             lanes += static_cast<std::size_t>(span);
@@ -834,9 +881,9 @@ DpSolution RunChainDp(const DpProblem& problem) {
       const bool is_last_stage = (j == k - 1);
 
       // Row-level suffix prune: a state using pu processors still needs
-      // suffix_min[j+1] more, whatever module comes next. Collect the rows
-      // that can both complete and hold at least one reachable state.
-      const long long row_suffix = is_last_stage ? 0 : suffix_min[j + 1];
+      // suffix_floor[j+1] more, whatever module comes next. Collect the
+      // rows that can both complete and hold at least one reachable state.
+      const long long row_suffix = is_last_stage ? 0 : suffix_floor[j + 1];
       std::vector<int> live_rows;
       for (int pu = 1; pu <= cap; ++pu) {
         if (pu + row_suffix > cap) break;
@@ -863,7 +910,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
       std::vector<int> rank_of_slot(static_cast<std::size_t>(nslots), -1);
       std::vector<int> rank_slots;
       for (int b = 1; b <= max_live_pu; ++b) {
-        if (!cfg_valid[cbase + b]) continue;
+        if (!fits[cbase + b]) continue;
         const int sl = slot_of[static_cast<std::size_t>(cfg_procs[cbase + b])];
         if (rank_of_slot[static_cast<std::size_t>(sl)] < 0) {
           rank_of_slot[static_cast<std::size_t>(sl)] =
@@ -913,8 +960,8 @@ DpSolution RunChainDp(const DpProblem& problem) {
         for (int len2 = 1; len2 <= std::min(max_len, k - 1 - j); ++len2) {
           const int next_last = j + len2;
           Target t;
-          t.next_min = ctx.MinBudget(j + 1, next_last);
-          t.tail_needed = suffix_min[next_last + 1];
+          t.next_min = fit_min(j + 1, next_last);
+          t.tail_needed = suffix_floor[next_last + 1];
           const bool reachable =
               t.next_min < kInfeasibleProcs &&
               min_live_pu + t.next_min + t.tail_needed <= cap;
@@ -923,7 +970,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
             const std::size_t nbase = ctx.CfgBase(j + 1, next_last);
             std::vector<int> procs2;
             for (int b2 = 1; b2 <= cap; ++b2) {
-              if (!cfg_valid[nbase + b2]) continue;
+              if (!fits[nbase + b2]) continue;
               t.b2s.push_back(b2);
               procs2.push_back(cfg_procs[nbase + b2]);
             }
@@ -971,7 +1018,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
           }
           const int pu = live_rows[static_cast<std::size_t>(row)];
           for (int b = 1; b <= pu; ++b) {
-            if (!cfg_valid[cbase + b]) continue;
+            if (!fits[cbase + b]) continue;
             const CellIndex c = s.cells[cell_index(pu, b)];
             const int lo = static_cast<int>(c.slot_range & 0xffffu);
             const int hi = static_cast<int>(c.slot_range >> 16);
@@ -1107,15 +1154,15 @@ DpSolution RunChainDp(const DpProblem& problem) {
       // thread count regardless of the partition.
       std::vector<std::int64_t> weights(live_rows.size());
       {
-        // valid-budget prefix counts for the current range.
-        std::vector<std::int64_t> valid_prefix(
+        // fitting-budget prefix counts for the current range.
+        std::vector<std::int64_t> fit_prefix(
             static_cast<std::size_t>(cap) + 1, 0);
         for (int b = 1; b <= cap; ++b) {
-          valid_prefix[b] = valid_prefix[b - 1] + (cfg_valid[cbase + b] ? 1 : 0);
+          fit_prefix[b] = fit_prefix[b - 1] + (fits[cbase + b] ? 1 : 0);
         }
         for (std::size_t r = 0; r < live_rows.size(); ++r) {
           const int pu = live_rows[r];
-          const std::int64_t cells = valid_prefix[pu];
+          const std::int64_t cells = fit_prefix[pu];
           const std::int64_t span =
               is_last_stage ? 1
                             : std::max<std::int64_t>(1, cap - pu + 1);

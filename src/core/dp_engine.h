@@ -64,12 +64,13 @@ ModuleConfig LatencyConfig(const Evaluator& eval, int first, int last,
                            const FeasibleProcs& feasible);
 
 /// Pre-tabulated per-module-range data the DP computes before its sweep:
-/// the configuration for every (first, last) range and budget, the
-/// smallest usable budget per range, and the minimum total budget needed
-/// for every chain suffix. The tables depend only on the key fields below
-/// — notably not on the processor budget of an individual solve (budgets
-/// are tabulated up to `cap`, and any solve with total_procs <= cap reads
-/// a prefix) — which makes them the reusable half of a warm start.
+/// the configuration for every (first, last) range and budget. (The least
+/// budgets per range and per chain suffix are derived per solve, under
+/// the solve's cap and incumbent.) The tables depend only on the key
+/// fields below — notably not on the processor budget of an individual
+/// solve (budgets are tabulated up to `cap`, and any solve with
+/// total_procs <= cap reads a prefix) — which makes them the reusable half
+/// of a warm start.
 ///
 /// Configurations are stored structure-of-arrays (parallel replicas /
 /// procs / valid arrays indexed by range * budget_stride + budget) so the
@@ -95,11 +96,6 @@ struct DpRangeTables {
   std::vector<int> cfg_replicas;
   std::vector<int> cfg_procs;
   std::vector<char> cfg_valid;
-  /// Smallest budget with a valid configuration per range
-  /// (kInfeasibleProcs when none exists within cap).
-  std::vector<int> min_budget;
-  /// Minimum total budget to map tasks t..k-1 (index k holds 0).
-  std::vector<long long> suffix_min;
 
   ModuleConfig Config(std::size_t range_index, int budget) const {
     const std::size_t i =
@@ -114,9 +110,10 @@ struct DpSolution {
   double objective_value = 0.0;
   std::uint64_t work = 0;
   /// (pu, budget) cells skipped by dominance pruning: their optimistic
-  /// bound could not beat the best known mapping. Deterministic for a
-  /// given thread count; may differ between thread counts (the mapping
-  /// and objective never do).
+  /// bound could not beat the best known mapping. Cells the incumbent's
+  /// budget floors drop are never laid out and are not counted.
+  /// Deterministic for a given thread count; may differ between thread
+  /// counts (the mapping and objective never do).
   std::uint64_t pruned_cells = 0;
   /// Warm-start provenance: whether the solve reused the range tables
   /// and whether the caller's incumbent tightened the pruning threshold.

@@ -88,7 +88,8 @@ struct MapResult {
   /// Inner-loop iterations performed; exposes the O(P^4 k^2) vs O(P k)
   /// complexity contrast empirically.
   std::uint64_t work = 0;
-  /// DP cells skipped by dominance pruning (0 for non-DP mappers). Like
+  /// DP cells skipped by dominance pruning (0 for non-DP mappers); cells
+  /// the DP's budget floors drop before layout are not counted. Like
   /// `work`, deterministic for a fixed thread count but may vary between
   /// thread counts; the mapping and throughput never do.
   std::uint64_t pruned_cells = 0;

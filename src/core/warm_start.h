@@ -8,9 +8,8 @@
 //
 //   * the per-module-range configuration tables the dynamic program
 //     tabulates before its sweep (every (first, last) range × budget
-//     configuration, plus the derived minimum-budget and suffix bounds) —
-//     identical across solves whenever the chain, replication rule, and
-//     feasibility table are unchanged;
+//     configuration) — identical across solves whenever the chain,
+//     replication rule, and feasibility table are unchanged;
 //   * a feasible incumbent mapping, whose objective value seeds the DP's
 //     dominance-pruning threshold so the optimistic bounds have something
 //     tight to beat from the first stage onward.

@@ -1,6 +1,7 @@
 #include "costmodel/memory.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "support/error.h"
@@ -20,8 +21,16 @@ int MinProcessors(const MemorySpec& spec, double node_memory_bytes) {
     throw Infeasible(os.str());
   }
   if (spec.distributed_bytes == 0.0) return 1;
-  const double p = spec.distributed_bytes / headroom;
-  return std::max(1, static_cast<int>(std::ceil(p - 1e-9)));
+  const double p = std::ceil(spec.distributed_bytes / headroom - 1e-9);
+  // A sliver of headroom asks for more processors than an int counts (and
+  // the cast would be undefined): no machine has that many.
+  if (!(p <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    std::ostringstream os;
+    os << "module needs " << p << " processors (" << spec.distributed_bytes
+       << " B distributed over " << headroom << " B of headroom)";
+    throw Infeasible(os.str());
+  }
+  return std::max(1, static_cast<int>(p));
 }
 
 }  // namespace pipemap

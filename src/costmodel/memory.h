@@ -29,7 +29,7 @@ struct MemorySpec {
 /// `node_memory_bytes` of usable memory each.
 ///
 /// Throws pipemap::Infeasible if the fixed part alone exceeds node memory
-/// (no processor count can help).
+/// (no processor count can help), or if the count does not fit in an int.
 int MinProcessors(const MemorySpec& spec, double node_memory_bytes);
 
 }  // namespace pipemap

@@ -155,6 +155,11 @@ bool ReadCount(Cursor& in, int& n) {
          static_cast<std::size_t>(n) <= kMaxParsedSamples;
 }
 
+/// Reads a cost term: a poly coefficient or a sampled time. None may be
+/// negative (NaN fails too), so every parsed cost is >= 0 at p >= 1; the
+/// DP's pruning bounds rely on it.
+bool ReadCost(Cursor& in, double& out) { return in.Read(out) && out >= 0.0; }
+
 std::unique_ptr<ScalarCost> ReadScalar(Cursor& in,
                                        const std::string& context) {
   const std::string_view kind = in.Token();
@@ -162,7 +167,7 @@ std::unique_ptr<ScalarCost> ReadScalar(Cursor& in,
                 "chain parse: missing scalar kind in " + context);
   if (kind == "poly") {
     double c1 = 0, c2 = 0, c3 = 0;
-    PIPEMAP_CHECK(in.Read(c1) && in.Read(c2) && in.Read(c3),
+    PIPEMAP_CHECK(ReadCost(in, c1) && ReadCost(in, c2) && ReadCost(in, c3),
                   "chain parse: bad poly coefficients in " + context);
     return std::make_unique<PolyScalarCost>(c1, c2, c3);
   }
@@ -172,7 +177,7 @@ std::unique_ptr<ScalarCost> ReadScalar(Cursor& in,
                   "chain parse: bad sample count in " + context);
     std::vector<std::pair<int, double>> samples(n);
     for (auto& [p, t] : samples) {
-      PIPEMAP_CHECK(in.Read(p) && in.Read(t) && p >= 1,
+      PIPEMAP_CHECK(in.Read(p) && ReadCost(in, t) && p >= 1,
                     "chain parse: bad sample in " + context);
     }
     return std::make_unique<TabulatedScalarCost>(std::move(samples));
@@ -187,7 +192,7 @@ std::unique_ptr<PairCost> ReadPair(Cursor& in, const std::string& context) {
   if (kind == "poly") {
     std::array<double, 5> c{};
     for (double& v : c) {
-      PIPEMAP_CHECK(in.Read(v),
+      PIPEMAP_CHECK(ReadCost(in, v),
                     "chain parse: bad poly coefficients in " + context);
     }
     return std::make_unique<PolyPairCost>(c);
@@ -199,7 +204,7 @@ std::unique_ptr<PairCost> ReadPair(Cursor& in, const std::string& context) {
     std::vector<TabulatedPairCost::Sample> samples(n);
     for (TabulatedPairCost::Sample& s : samples) {
       PIPEMAP_CHECK(in.Read(s.sender_procs) && in.Read(s.receiver_procs) &&
-                        in.Read(s.seconds) && s.sender_procs >= 1 &&
+                        ReadCost(in, s.seconds) && s.sender_procs >= 1 &&
                         s.receiver_procs >= 1,
                     "chain parse: bad sample in " + context);
     }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "core/dp_mapper.h"
+#include "core/greedy_mapper.h"
 #include "core/latency_mapper.h"
 #include "machine/feasible.h"
 #include "support/error.h"
@@ -139,15 +141,26 @@ TEST(DpEngineTest, RequiresEvaluator) {
 }
 
 TEST(DpEngineTest, WorkCounterGrowsWithProcessors) {
-  const TaskChain chain = testing::SmallChain();
+  // Transfers dominate: every mapping pays a transfer of at least 1 s on
+  // a module boundary, so the incumbent's value is >= 1, while no
+  // singleton's body reaches 0.1 s. The budget floors then admit every
+  // valid configuration, and the sweep's work follows the budget axis.
+  // (On SmallChain the whole-chain incumbent is optimal and the floors
+  // leave one transition at every P.)
+  const TaskChain chain = BuildChain(
+      {TaskSpec{0.0, 0.05, 0.0, 1, false}, TaskSpec{0.0, 0.08, 0.0, 2, false},
+       TaskSpec{0.0, 0.03, 0.0, 1, false}},
+      {EdgeSpec{0.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0, 0.0},
+       EdgeSpec{0.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0, 0.0}});
   std::uint64_t prev = 0;
   for (int procs : {4, 8, 16, 32}) {
     const Evaluator eval(chain, procs, kTestNodeMemory);
     DpProblem problem;
     problem.eval = &eval;
     problem.total_procs = procs;
+    problem.options.allow_clustering = false;
     const DpSolution s = RunChainDp(problem);
-    EXPECT_GT(s.work, prev);
+    EXPECT_GT(s.work, prev) << "P=" << procs;
     prev = s.work;
   }
 }
@@ -405,6 +418,86 @@ ColdSolve SolveSynthetic(int num_tasks, int procs, std::uint64_t seed,
   options.proc_feasible = FeasibilityChecker(w.machine).ProcCountPredicate();
   const MapResult r = DpMapper(options).Map(eval, procs);
   return {r.mapping.ToString(w.chain), r.throughput, r.work, r.pruned_cells};
+}
+
+TEST(DpEngineTest, IncumbentNeverChangesTheAnswer) {
+  // The budget floors come from the incumbent's value. Seeded with its own
+  // optimum, the tightest incumbent there is, a solve must return the
+  // cold solve's mapping and objective bits and do no more work, for both
+  // objectives (the path sum also under a throughput cap), with and
+  // without clustering.
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    workloads::SyntheticSpec spec;
+    spec.num_tasks = 3 + static_cast<int>(seed % 6);
+    spec.machine_procs = 16 + 8 * static_cast<int>(seed % 4);
+    spec.comm_comp_ratio = 0.1 * static_cast<double>(1 + seed % 7);
+    const Workload w = workloads::MakeSynthetic(spec, seed);
+    const Evaluator eval(w.chain, spec.machine_procs,
+                         w.machine.node_memory_bytes);
+    for (const bool clustering : {true, false}) {
+      DpProblem bottleneck;
+      bottleneck.eval = &eval;
+      bottleneck.total_procs = spec.machine_procs;
+      bottleneck.options.num_threads = 1;
+      bottleneck.options.allow_clustering = clustering;
+      DpProblem path_sum = bottleneck;
+      path_sum.objective = DpObjective::kPathSum;
+      path_sum.config_rule = DpConfigRule::kLatencyBody;
+      DpProblem capped = path_sum;
+      for (DpProblem* problem : {&bottleneck, &path_sum, &capped}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) +
+                     (clustering ? " clustered" : " singletons") +
+                     (problem == &bottleneck ? " bottleneck"
+                      : problem == &path_sum ? " path sum"
+                                             : " capped path sum"));
+        DpSolution cold;
+        try {
+          cold = RunChainDp(*problem);
+        } catch (const Infeasible&) {
+          continue;
+        }
+        if (problem == &bottleneck) {
+          capped.max_effective_response = 1.5 * cold.objective_value;
+        }
+        DpProblem seeded = *problem;
+        seeded.options.warm = std::make_shared<WarmStartState>();
+        seeded.options.warm->incumbent = cold.mapping;
+        const DpSolution warm = RunChainDp(seeded);
+        EXPECT_EQ(warm.mapping, cold.mapping);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.objective_value),
+                  std::bit_cast<std::uint64_t>(cold.objective_value));
+        EXPECT_LE(warm.work, cold.work);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(compared, 200);
+}
+
+TEST(DpEngineTest, IncumbentFloorsCutTheColdDpSweep) {
+  // cold_dp's shape: k=10 synthetic chains on P=128 under the machine's
+  // table, the DP seeded with greedy's mapping, one thread. These five
+  // solves do 2.57 M transitions; the bound sits over 10x below the
+  // 32.4 M they cost without the incumbent's budget floors.
+  std::uint64_t work = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    workloads::SyntheticSpec spec;
+    spec.num_tasks = 10;
+    spec.machine_procs = 128;
+    const Workload w = workloads::MakeSynthetic(spec, seed);
+    const Evaluator eval(w.chain, 128, w.machine.node_memory_bytes);
+    MapperOptions options;
+    options.num_threads = 1;
+    options.proc_feasible =
+        FeasibilityChecker(w.machine).ProcCountPredicate();
+    options.warm = std::make_shared<WarmStartState>();
+    GreedyOptions greedy;
+    greedy.base = options;
+    options.warm->incumbent = GreedyMapper(greedy).Map(eval, 128).mapping;
+    work += DpMapper(options).Map(eval, 128).work;
+  }
+  EXPECT_LT(work, 3'000'000u);
 }
 
 TEST(DpEngineTest, LargeMachineSolvesUnderDefaultTableLimit) {

@@ -228,6 +228,31 @@ TEST_P(LatencyVsBrute, ConstrainedModeIsSoundAndNearExact) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatencyVsBrute, ::testing::Range(0, 15));
 
+TEST(LatencyMapperTest, ColdSolveKeepsAnOptimalHeuristicIncumbent) {
+  // Five singletons on five processors: the only mapping, so the DP's own
+  // singleton incumbent is the optimum. The incumbent's path sum used to
+  // associate as v + (body + out) where the sweep computes
+  // (v + body) + out; an ulp below the sweep's value, it pruned the one
+  // mapping and the solve threw Infeasible.
+  workloads::SyntheticSpec spec;
+  spec.num_tasks = 5;
+  spec.machine_procs = 5;
+  spec.replicable_fraction = 0.0;
+  spec.comm_comp_ratio = 2.85;
+  spec.memory_tightness = 0.0;
+  const Workload w = workloads::MakeSynthetic(spec, 5015);
+  const Evaluator eval(w.chain, 5, w.machine.node_memory_bytes);
+  MapperOptions options;
+  options.allow_clustering = false;
+  BruteForceOptions brute_options;
+  brute_options.base = options;
+  const LatencyBruteResult brute =
+      BruteForceMinLatency(eval, 5, 0.0, brute_options);
+  const LatencyResult dp = LatencyMapper(options).MinLatency(eval, 5);
+  EXPECT_EQ(dp.mapping, brute.mapping);
+  EXPECT_DOUBLE_EQ(dp.latency, brute.latency);
+}
+
 TEST(LatencyMapperTest, InvalidArgumentsThrow) {
   const TaskChain chain = testing::SmallChain();
   const Evaluator eval(chain, 8, kTestNodeMemory);

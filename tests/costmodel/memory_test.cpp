@@ -31,6 +31,19 @@ TEST(MemoryTest, FixedExceedingNodeMemoryIsInfeasible) {
   EXPECT_THROW(MinProcessors({100.0, 0.0}, 100.0), Infeasible);
 }
 
+TEST(MemoryTest, CountBeyondIntIsInfeasible) {
+  // Ten 0.1 MB fixed parts sum to a hair under 1 MB, leaving about 1e-10 B
+  // of headroom: the count (about 4.5e15) fits no machine and no int.
+  constexpr double kMB = 1024.0 * 1024.0;
+  double fixed = 0.0;
+  for (int t = 0; t < 10; ++t) fixed += 0.1 * kMB;
+  ASSERT_GT(kMB - fixed, 0.0);
+  ASSERT_LT(kMB - fixed, 1e-9);
+  EXPECT_THROW(MinProcessors({fixed, 0.5 * kMB}, kMB), Infeasible);
+  // The largest count an int holds is still an answer.
+  EXPECT_EQ(MinProcessors({0.0, 2147483647.0}, 1.0), 2147483647);
+}
+
 TEST(MemoryTest, InvalidInputsThrow) {
   EXPECT_THROW(MinProcessors({0.0, 10.0}, 0.0), InvalidArgument);
   EXPECT_THROW(MinProcessors({-1.0, 10.0}, 100.0), InvalidArgument);

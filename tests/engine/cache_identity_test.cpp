@@ -14,7 +14,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "costmodel/cost_function.h"
 #include "costmodel/piecewise.h"
 #include "costmodel/poly.h"
+#include "core/evaluator.h"
 #include "engine/mapping_engine.h"
 #include "io/serialize.h"
 #include "support/rng.h"
@@ -247,30 +247,44 @@ int CheckPair(const Pair& pair, const std::string& label) {
     std::filesystem::remove_all(dir);
   }
 
-  // Single-flight: base and twin requests released together onto a fresh
-  // engine; followers share their leader's answer. Rounds repeat until a
-  // follower shows up (a leader's solve can finish before anyone joins).
-  int followers = 0;
+  // Single-flight: on a fresh engine, a leader per chain starts, and a
+  // follower per chain is released once both leaders hold their flights.
+  // The followers bring prebuilt Evaluators, so they reach the flight
+  // within microseconds, while their leaders solve. A leader can still
+  // finish first (its follower then hits the cache), so rounds repeat
+  // until a follower shares a solve.
+  const Evaluator base_eval(pair.base, pair.procs, kNodeMemory);
+  const Evaluator twin_eval(pair.twin, pair.procs, kNodeMemory);
+  MapRequest base_follower = base;
+  base_follower.eval = &base_eval;
+  MapRequest twin_follower = twin;
+  twin_follower.eval = &twin_eval;
+  const MapRequest* requests[] = {&base, &twin, &base_follower,
+                                  &twin_follower};
+  const std::string* expected[] = {&pair.base_answer, &pair.twin_answer,
+                                   &pair.base_answer, &pair.twin_answer};
   constexpr int kThreads = 4;
-  for (int round = 0; round < 3 && followers == 0; ++round) {
+  constexpr int kMaxRounds = 200;
+  int followers = 0;
+  for (int round = 0; round < kMaxRounds && followers == 0; ++round) {
     MappingEngine engine;
-    std::atomic<int> ready{0};
     std::vector<MapResponse> responses(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        ready.fetch_add(1);
-        while (ready.load() < kThreads) {
+        if (t >= 2) {
+          while (engine.single_flight_stats().leaders < 2) {
+            std::this_thread::yield();
+          }
         }
-        responses[static_cast<std::size_t>(t)] =
-            engine.Map(t % 2 == 0 ? base : twin);
+        responses[static_cast<std::size_t>(t)] = engine.Map(*requests[t]);
       });
     }
     for (std::thread& thread : threads) thread.join();
     for (int t = 0; t < kThreads; ++t) {
       const MapResponse& r = responses[static_cast<std::size_t>(t)];
       if (r.shared_solve) ++followers;
-      EXPECT_EQ(Answer(r), t % 2 == 0 ? pair.base_answer : pair.twin_answer)
+      EXPECT_EQ(Answer(r), *expected[t])
           << (r.shared_solve ? "follower" : r.cache_hit ? "hit" : "leader");
     }
   }

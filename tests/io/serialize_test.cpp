@@ -329,6 +329,40 @@ TEST(MalformedCorpusTest, CorruptedChainsAreRejected) {
     EXPECT_THROW(ParseChain(CorruptValue(good, key, to)), InvalidArgument)
         << "accepted corruption: " << key << " -> " << to;
   }
+
+  // Every cost term is non-negative: poly coefficients and tab samples of
+  // exec, icom and ecom alike (a negative f_ecom constant once reached the
+  // DP, whose bounds assume transfers cost >= 0).
+  const std::string costs =
+      "pipemap-chain v1\n"
+      "tasks 3 max_procs 4\n"
+      "task 0 replicable 1 mem_fixed 0 mem_dist 0 name a\n"
+      "exec 0 poly 0 1 0\n"
+      "task 1 replicable 0 mem_fixed 0 mem_dist 0 name b\n"
+      "exec 1 tab 2 1 1 4 0.25\n"
+      "task 2 replicable 0 mem_fixed 0 mem_dist 0 name c\n"
+      "exec 2 poly 0.5 0 0\n"
+      "icom 0 poly 0 0.5 0\n"
+      "ecom 0 poly 0.1 0 0 0 0\n"
+      "icom 1 tab 1 1 0.2\n"
+      "ecom 1 tab 1 1 1 0.1\n"
+      "end\n";
+  ASSERT_NO_THROW(ParseChain(costs));
+  const std::vector<std::pair<std::string, std::string>> negative_costs = {
+      {"exec 0 poly", "-1"},       // scalar poly constant
+      {"exec 0 poly 0", "-1"},     // scalar poly 1/p coefficient
+      {"exec 1 tab 2 1", "-1"},    // scalar sample
+      {"icom 0 poly 0 0.5", "-1e-9"},
+      {"ecom 0 poly", "-0.05"},    // the f_ecom constant
+      {"ecom 0 poly 0.1 0 0 0", "-1"},
+      {"icom 1 tab 1 1", "-0.2"},
+      {"ecom 1 tab 1 1 1", "-0.1"},  // pair sample
+      {"exec 2 poly", "nan"},
+  };
+  for (const auto& [key, to] : negative_costs) {
+    EXPECT_THROW(ParseChain(CorruptValue(costs, key, to)), InvalidArgument)
+        << "accepted corruption: " << key << " -> " << to;
+  }
 }
 
 TEST(MalformedCorpusTest, CorruptedMachinesAreRejected) {
