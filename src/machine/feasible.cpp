@@ -81,8 +81,8 @@ Mapping FeasibilityChecker::MakeFeasible(const Mapping& mapping,
   while (!queue.empty() && expansions < kMaxExpansions) {
     const Candidate top = queue.top();
     queue.pop();
-    ++expansions;
-    if (Check(top.mapping).feasible) return top.mapping;
+    // The first pop is `mapping` itself, found infeasible above.
+    if (expansions++ > 0 && Check(top.mapping).feasible) return top.mapping;
     for (std::size_t i = 0; i < top.mapping.modules.size(); ++i) {
       if (top.mapping.modules[i].replicas <= 1) continue;
       Mapping reduced = top.mapping;

@@ -4,40 +4,30 @@
 
 #include "machine/rect.h"
 #include "support/error.h"
+#include "support/metrics.h"
 
 namespace pipemap {
 namespace {
 
+// Every placement anchors at the topmost-leftmost free cell, so the
+// occupied cells of each column are a top prefix: one height per column
+// is the whole grid. The first free cell tops the leftmost lowest column,
+// and an h x w rectangle fits there iff the columns to its right at that
+// height run at least w wide and h rows are left below it.
 struct SearchState {
   int rows = 0;
-  int cols = 0;
-  std::vector<char> occupied;           // rows * cols
+  std::vector<int> height;              // per column: occupied top rows
   std::vector<int> remaining;           // instances left per module
   std::vector<std::vector<std::pair<int, int>>> factorizations;  // per module
   std::vector<InstancePlacement> placements;
+  int unplaced = 0;  // sum of remaining
   int waste_left = 0;
   std::uint64_t nodes = 0;
   std::uint64_t max_nodes = 0;
   bool hit_cap = false;
 
-  bool Occupied(int r, int c) const { return occupied[r * cols + c] != 0; }
-
-  bool CanPlace(int r, int c, int h, int w) const {
-    if (r + h > rows || c + w > cols) return false;
-    for (int rr = r; rr < r + h; ++rr) {
-      for (int cc = c; cc < c + w; ++cc) {
-        if (Occupied(rr, cc)) return false;
-      }
-    }
-    return true;
-  }
-
-  void Fill(int r, int c, int h, int w, char v) {
-    for (int rr = r; rr < r + h; ++rr) {
-      for (int cc = c; cc < c + w; ++cc) {
-        occupied[rr * cols + cc] = v;
-      }
-    }
+  void Fill(int c, int w, int h) {
+    std::fill(height.begin() + c, height.begin() + c + w, h);
   }
 
   bool Solve() {
@@ -45,50 +35,43 @@ struct SearchState {
       hit_cap = true;
       return false;
     }
-    // Find the topmost-leftmost free cell; it must be covered by some
-    // remaining instance anchored here, or declared wasted.
-    int free_r = -1, free_c = -1;
-    for (int idx = 0; idx < rows * cols; ++idx) {
-      if (!occupied[idx]) {
-        free_r = idx / cols;
-        free_c = idx % cols;
-        break;
-      }
-    }
-    if (free_r < 0) {
-      // Grid full; success iff nothing remains.
-      return std::all_of(remaining.begin(), remaining.end(),
-                         [](int r) { return r == 0; });
-    }
-    if (std::all_of(remaining.begin(), remaining.end(),
-                    [](int r) { return r == 0; })) {
-      return true;  // all instances placed; leftover cells are idle
-    }
+    // Free cells are the unplaced area plus waste_left, so a grid with
+    // nothing unplaced is the only one that can be full.
+    if (unplaced == 0) return true;  // leftover cells are idle
+    const int cols = static_cast<int>(height.size());
+    const int c = static_cast<int>(
+        std::min_element(height.begin(), height.end()) - height.begin());
+    const int r = height[c];
+    int run = 1;
+    while (c + run < cols && height[c + run] == r) ++run;
 
+    // The free cell must be covered by some remaining instance anchored
+    // here, or declared wasted.
     for (std::size_t m = 0; m < remaining.size(); ++m) {
       if (remaining[m] == 0) continue;
       for (const auto& [h, w] : factorizations[m]) {
-        if (!CanPlace(free_r, free_c, h, w)) continue;
-        Fill(free_r, free_c, h, w, 1);
+        if (w > run || r + h > rows) continue;
+        Fill(c, w, r + h);
         --remaining[m];
+        --unplaced;
         placements.push_back(InstancePlacement{
-            static_cast<int>(m), remaining[m],
-            GridRect{free_r, free_c, h, w}});
+            static_cast<int>(m), remaining[m], GridRect{r, c, h, w}});
         if (Solve()) return true;
         placements.pop_back();
+        ++unplaced;
         ++remaining[m];
-        Fill(free_r, free_c, h, w, 0);
+        Fill(c, w, r);
         if (hit_cap) return false;
       }
     }
 
     // Declare this cell idle, if the waste budget allows.
     if (waste_left > 0) {
-      occupied[free_r * cols + free_c] = 2;
+      height[c] = r + 1;
       --waste_left;
       if (Solve()) return true;
       ++waste_left;
-      occupied[free_r * cols + free_c] = 0;
+      height[c] = r;
     }
     return false;
   }
@@ -99,15 +82,16 @@ struct SearchState {
 PackResult PackInstances(const Mapping& mapping, int rows, int cols,
                          std::uint64_t max_nodes) {
   PIPEMAP_CHECK(rows >= 1 && cols >= 1, "PackInstances: grid must be non-empty");
+  PIPEMAP_COUNTER_ADD("machine.pack_searches", 1);
   SearchState st;
   st.rows = rows;
-  st.cols = cols;
-  st.occupied.assign(static_cast<std::size_t>(rows) * cols, 0);
+  st.height.assign(static_cast<std::size_t>(cols), 0);
   st.max_nodes = max_nodes;
 
   int total_area = 0;
   for (const ModuleAssignment& m : mapping.modules) {
     st.remaining.push_back(m.replicas);
+    st.unplaced += m.replicas;
     auto facts = RectFactorizations(m.procs_per_instance, rows, cols);
     if (facts.empty()) {
       return PackResult{false, {}, 0, false};
@@ -129,6 +113,8 @@ PackResult PackInstances(const Mapping& mapping, int rows, int cols,
   result.nodes = st.nodes;
   result.hit_node_cap = st.hit_cap;
   if (result.success) result.placements = std::move(st.placements);
+  PIPEMAP_COUNTER_ADD("machine.pack_nodes", st.nodes);
+  if (st.hit_cap) PIPEMAP_COUNTER_ADD("machine.pack_gave_up", 1);
   return result;
 }
 

@@ -34,9 +34,10 @@ struct InstancePlacement {
 struct PackResult {
   bool success = false;
   std::vector<InstancePlacement> placements;
-  /// Search nodes explored (diagnostic; a failure with nodes == cap means
-  /// "gave up", not "proven impossible").
+  /// Search nodes explored, the one that met the cap included.
   std::uint64_t nodes = 0;
+  /// The search gave up at max_nodes: a failure that is not a proof the
+  /// instances cannot pack.
   bool hit_node_cap = false;
 };
 

@@ -7,6 +7,7 @@
 #include "core/dp_mapper.h"
 #include "machine/rect.h"
 #include "support/error.h"
+#include "support/metrics.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -113,6 +114,27 @@ TEST(MakeFeasibleTest, ReducesReplicationUntilPackable) {
   EXPECT_EQ(fixed.modules[0].procs_per_instance, 3);
   EXPECT_EQ(fixed.num_modules(), 2);
 }
+
+#if !defined(PIPEMAP_NO_OBSERVABILITY)
+TEST(MakeFeasibleTest, SearchesTheRootMappingOnce) {
+  const MachineConfig machine = SmallGrid();
+  const FeasibilityChecker checker(machine);
+  const TaskChain chain = testing::SmallChain();
+  const Evaluator eval(chain, 64, machine.node_memory_bytes);
+  Mapping m;
+  m.modules.push_back(ModuleAssignment{0, 1, 24, 3});
+  m.modules.push_back(ModuleAssignment{2, 2, 1, 1});
+  const ScopedMetricsEnable metrics(true);
+  const MetricsRegistry::Counter* searches =
+      MetricsRegistry::Global().GetCounter("machine.pack_searches");
+  const std::uint64_t before = searches->Total();
+  const Mapping fixed = checker.MakeFeasible(m, eval);
+  // Module 1 has one replica, so each popped candidate has one child: the
+  // search pops 24, 23, ... down to the answer and packs each once.
+  EXPECT_EQ(searches->Total() - before,
+            static_cast<std::uint64_t>(24 - fixed.modules[0].replicas + 1));
+}
+#endif  // PIPEMAP_NO_OBSERVABILITY
 
 TEST(MakeFeasibleTest, ThrowsWhenNoVariantIsFeasible) {
   const MachineConfig machine = SmallGrid();

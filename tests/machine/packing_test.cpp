@@ -2,10 +2,145 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
+
+#include "engine/mapping_engine.h"
+#include "machine/rect.h"
+#include "support/error.h"
+#include "support/rng.h"
+#include "workloads/synthetic.h"
 
 namespace pipemap {
 namespace {
+
+// The byte-grid packer the column skyline replaced, kept verbatim as the
+// reference: the skyline must visit the same nodes in the same order.
+struct SearchState {
+  int rows = 0;
+  int cols = 0;
+  std::vector<char> occupied;           // rows * cols
+  std::vector<int> remaining;           // instances left per module
+  std::vector<std::vector<std::pair<int, int>>> factorizations;  // per module
+  std::vector<InstancePlacement> placements;
+  int waste_left = 0;
+  std::uint64_t nodes = 0;
+  std::uint64_t max_nodes = 0;
+  bool hit_cap = false;
+
+  bool Occupied(int r, int c) const { return occupied[r * cols + c] != 0; }
+
+  bool CanPlace(int r, int c, int h, int w) const {
+    if (r + h > rows || c + w > cols) return false;
+    for (int rr = r; rr < r + h; ++rr) {
+      for (int cc = c; cc < c + w; ++cc) {
+        if (Occupied(rr, cc)) return false;
+      }
+    }
+    return true;
+  }
+
+  void Fill(int r, int c, int h, int w, char v) {
+    for (int rr = r; rr < r + h; ++rr) {
+      for (int cc = c; cc < c + w; ++cc) {
+        occupied[rr * cols + cc] = v;
+      }
+    }
+  }
+
+  bool Solve() {
+    if (++nodes > max_nodes) {
+      hit_cap = true;
+      return false;
+    }
+    // Find the topmost-leftmost free cell; it must be covered by some
+    // remaining instance anchored here, or declared wasted.
+    int free_r = -1, free_c = -1;
+    for (int idx = 0; idx < rows * cols; ++idx) {
+      if (!occupied[idx]) {
+        free_r = idx / cols;
+        free_c = idx % cols;
+        break;
+      }
+    }
+    if (free_r < 0) {
+      // Grid full; success iff nothing remains.
+      return std::all_of(remaining.begin(), remaining.end(),
+                         [](int r) { return r == 0; });
+    }
+    if (std::all_of(remaining.begin(), remaining.end(),
+                    [](int r) { return r == 0; })) {
+      return true;  // all instances placed; leftover cells are idle
+    }
+
+    for (std::size_t m = 0; m < remaining.size(); ++m) {
+      if (remaining[m] == 0) continue;
+      for (const auto& [h, w] : factorizations[m]) {
+        if (!CanPlace(free_r, free_c, h, w)) continue;
+        Fill(free_r, free_c, h, w, 1);
+        --remaining[m];
+        placements.push_back(InstancePlacement{
+            static_cast<int>(m), remaining[m],
+            GridRect{free_r, free_c, h, w}});
+        if (Solve()) return true;
+        placements.pop_back();
+        ++remaining[m];
+        Fill(free_r, free_c, h, w, 0);
+        if (hit_cap) return false;
+      }
+    }
+
+    // Declare this cell idle, if the waste budget allows.
+    if (waste_left > 0) {
+      occupied[free_r * cols + free_c] = 2;
+      --waste_left;
+      if (Solve()) return true;
+      ++waste_left;
+      occupied[free_r * cols + free_c] = 0;
+    }
+    return false;
+  }
+};
+
+PackResult LegacyPackInstances(const Mapping& mapping, int rows, int cols,
+                               std::uint64_t max_nodes) {
+  PIPEMAP_CHECK(rows >= 1 && cols >= 1, "PackInstances: grid must be non-empty");
+  SearchState st;
+  st.rows = rows;
+  st.cols = cols;
+  st.occupied.assign(static_cast<std::size_t>(rows) * cols, 0);
+  st.max_nodes = max_nodes;
+
+  int total_area = 0;
+  for (const ModuleAssignment& m : mapping.modules) {
+    st.remaining.push_back(m.replicas);
+    auto facts = RectFactorizations(m.procs_per_instance, rows, cols);
+    if (facts.empty()) {
+      return PackResult{false, {}, 0, false};
+    }
+    // Prefer squarer rectangles: they obstruct the remaining space least.
+    std::sort(facts.begin(), facts.end(), [](const auto& a, const auto& b) {
+      return std::abs(a.first - a.second) < std::abs(b.first - b.second);
+    });
+    st.factorizations.push_back(std::move(facts));
+    total_area += m.total_procs();
+  }
+  if (total_area > rows * cols) {
+    return PackResult{false, {}, 0, false};
+  }
+  st.waste_left = rows * cols - total_area;
+
+  PackResult result;
+  result.success = st.Solve();
+  result.nodes = st.nodes;
+  result.hit_node_cap = st.hit_cap;
+  if (result.success) result.placements = std::move(st.placements);
+  return result;
+}
+
 
 Mapping MakeMapping(std::vector<std::pair<int, int>> replicas_procs) {
   Mapping m;
@@ -122,6 +257,108 @@ TEST_P(PackingSweep, FeasibleSetsPack) {
 INSTANTIATE_TEST_SUITE_P(Sizes, PackingSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                            12));
+
+/// PackInstances answers exactly as the byte-grid reference: outcome,
+/// node count, give-up flag and every placement. Returns the answer.
+PackResult ExpectSameAsLegacy(const Mapping& mapping, int rows, int cols,
+                              std::uint64_t cap) {
+  const PackResult want = LegacyPackInstances(mapping, rows, cols, cap);
+  const PackResult got = PackInstances(mapping, rows, cols, cap);
+  EXPECT_EQ(got.success, want.success);
+  EXPECT_EQ(got.nodes, want.nodes);
+  EXPECT_EQ(got.hit_node_cap, want.hit_node_cap);
+  EXPECT_EQ(got.placements.size(), want.placements.size());
+  const std::size_t n = std::min(got.placements.size(), want.placements.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const InstancePlacement& g = got.placements[i];
+    const InstancePlacement& w = want.placements[i];
+    EXPECT_EQ(g.module, w.module) << "placement " << i;
+    EXPECT_EQ(g.instance, w.instance) << "placement " << i;
+    EXPECT_EQ(g.rect.row, w.rect.row) << "placement " << i;
+    EXPECT_EQ(g.rect.col, w.rect.col) << "placement " << i;
+    EXPECT_EQ(g.rect.height, w.rect.height) << "placement " << i;
+    EXPECT_EQ(g.rect.width, w.rect.width) << "placement " << i;
+  }
+  return got;
+}
+
+/// One to four modules whose instances cover 60% to a little over 100% of
+/// the grid, so sets pack, fail, and run into every cap.
+Mapping RandomInstanceSet(Rng& rng, int rows, int cols) {
+  const int cells = rows * cols;
+  const int target = rng.UniformInt(cells * 3 / 5, cells + 2);
+  const int modules = rng.UniformInt(1, 4);
+  Mapping m;
+  int used = 0;
+  for (int i = 0; i < modules && used < target; ++i) {
+    const int left = target - used;
+    const int procs = rng.UniformInt(1, std::max(1, left / 2));
+    const int most = std::max(1, left / procs);
+    const int replicas = i + 1 == modules ? most : rng.UniformInt(1, most);
+    m.modules.push_back(ModuleAssignment{i, i, replicas, procs});
+    used += replicas * procs;
+  }
+  return m;
+}
+
+TEST(PackingDifferentialTest, RandomInstanceSetsMatchTheByteGrid) {
+  const std::pair<int, int> grids[] = {{1, 7}, {7, 1}, {3, 3}, {4, 4},
+                                       {8, 8}, {12, 11}, {5, 13}};
+  const std::uint64_t caps[] = {1, 2, 50, 1'000, 200'000};
+  Rng rng(20260705);
+  int packed = 0, failed = 0, capped = 0;
+  for (const auto& [rows, cols] : grids) {
+    for (int set = 0; set < 40; ++set) {
+      const Mapping mapping = RandomInstanceSet(rng, rows, cols);
+      for (const std::uint64_t cap : caps) {
+        SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) +
+                     " set " + std::to_string(set) + " cap " +
+                     std::to_string(cap));
+        const PackResult r = ExpectSameAsLegacy(mapping, rows, cols, cap);
+        packed += r.success;
+        capped += r.hit_node_cap;
+        failed += !r.success && !r.hit_node_cap;
+      }
+    }
+  }
+  EXPECT_GT(packed, 0);
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(capped, 0);
+}
+
+TEST(PackingDifferentialTest, SyntheticDpMappingsMatchTheByteGrid) {
+  // cold_dp-shaped requests (k=10, P=128 on a 12x11 grid): each DP
+  // mapping and every one-replica reduction of it, as MakeFeasible's
+  // search would try them. Seeds 9 and 12 run into the default cap.
+  workloads::SyntheticSpec spec;
+  spec.num_tasks = 10;
+  spec.machine_procs = 128;
+  int capped = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Workload w = workloads::MakeSynthetic(spec, seed);
+    MapRequest request;
+    request.chain = &w.chain;
+    request.machine = w.machine;
+    request.total_procs = spec.machine_procs;
+    request.options.num_threads = 1;
+    request.use_cache = false;
+    const Mapping mapping = MappingEngine().Map(request).mapping;
+    std::vector<Mapping> candidates{mapping};
+    for (std::size_t i = 0; i < mapping.modules.size(); ++i) {
+      if (mapping.modules[i].replicas <= 1) continue;
+      candidates.push_back(mapping);
+      candidates.back().modules[i].replicas -= 1;
+    }
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " candidate " +
+                   std::to_string(c));
+      capped += ExpectSameAsLegacy(candidates[c], w.machine.grid_rows,
+                                   w.machine.grid_cols, 200'000)
+                    .hit_node_cap;
+    }
+  }
+  EXPECT_GT(capped, 0);
+}
 
 }  // namespace
 }  // namespace pipemap
