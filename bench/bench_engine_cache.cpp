@@ -6,15 +6,15 @@
 //
 //   1. Warm-started frontier sweeps: MappingEngine::Frontier threads one
 //      WarmStartState through every DP solve of a latency/throughput
-//      sweep, so range tables built for the first floor are reused by
-//      later floors. The bench times the identical sweep cold (each solve
-//      builds its own tables) and warm, verifies the frontiers match
-//      point for point, and records the speedup. Sweeps are not cached:
-//      every Frontier call solves.
+//      sweep, so each floor's solve prunes against the previous floor's
+//      mapping. The bench times the identical sweep cold (no incumbent
+//      carried) and warm, verifies the frontiers match point for point,
+//      and records the ratio. Every solve tabulates its own range tables,
+//      and sweeps are not cached: every Frontier call solves.
 //
 //   2. Warm-started machine sizing: MinProcs binary-searches processor
-//      budgets below P, and tables built at cap P answer every smaller
-//      cap (the prefix property), so only the first probe tabulates.
+//      budgets below P, each probe seeded with the previous probe's
+//      mapping; timed and checked like the frontier.
 //
 //   3. The solution cache: repeating an identical MapRequest is answered
 //      from the sharded LRU without running any solver. The bench times
@@ -61,20 +61,9 @@ double Now() {
       .count();
 }
 
-struct FrontierSample {
+struct SweepSample {
   double cold_s = 0.0;
   double warm_s = 0.0;
-  std::uint64_t solves = 0;
-  std::uint64_t tables_built = 0;
-  std::uint64_t tables_reused = 0;
-  bool identical = true;
-};
-
-struct SizingSample {
-  double cold_s = 0.0;
-  double warm_s = 0.0;
-  std::uint64_t solves = 0;
-  std::uint64_t tables_reused = 0;
   bool identical = true;
 };
 
@@ -95,8 +84,8 @@ struct AppSample {
   std::string label;
   std::string size;
   std::string comm;
-  FrontierSample frontier;
-  SizingSample sizing;
+  SweepSample frontier;
+  SweepSample sizing;
   CacheSample cache;
   PersistSample persist;
 };
@@ -132,9 +121,9 @@ int Run(const std::string& out_path, int points, int reps) {
     app.size = c.size;
     app.comm = ToString(c.workload.machine.comm_mode);
 
-    // Warm-started sweep through the engine vs. the same sweep with every
-    // solve building its own range tables. Both sides construct their own
-    // evaluator so the comparison isolates the table reuse.
+    // Warm-started sweep through the engine vs. the same sweep with no
+    // incumbent carried between solves. Both sides construct their own
+    // evaluator so the comparison isolates the carried incumbent.
     MapRequest request;
     request.chain = &c.workload.chain;
     request.machine = c.workload.machine;
@@ -152,22 +141,16 @@ int Run(const std::string& out_path, int points, int reps) {
       app.frontier.cold_s = std::min(app.frontier.cold_s, Now() - start);
     }
     for (int rep = 0; rep < reps; ++rep) {
-      SweepStats stats;
       const double start = Now();
-      warm_frontier = engine.Frontier(request, points, &stats);
+      warm_frontier = engine.Frontier(request, points);
       app.frontier.warm_s = std::min(app.frontier.warm_s, Now() - start);
-      app.frontier.solves = stats.solves;
-      app.frontier.tables_built = stats.warm_tables_built;
-      app.frontier.tables_reused = stats.warm_tables_reused;
     }
     app.frontier.identical = SameFrontier(cold_frontier, warm_frontier);
     all_identical = all_identical && app.frontier.identical;
 
     // Machine sizing: the binary search probes many processor budgets
-    // below P, and range tables built at cap P answer every smaller cap
-    // (the prefix property), so the warm-started search re-tabulates
-    // nothing after the first solve. This is the sweep shape where table
-    // reuse dominates.
+    // below P; the warm-started search seeds each probe with the
+    // previous probe's mapping.
     request.solver = SolverPolicy::kDp;
     request.use_cache = false;  // keep the cache cold for the miss timing
     const double peak = engine.Map(request).throughput;
@@ -186,12 +169,9 @@ int Run(const std::string& out_path, int points, int reps) {
       app.sizing.cold_s = std::min(app.sizing.cold_s, Now() - start);
     }
     for (int rep = 0; rep < reps; ++rep) {
-      SweepStats stats;
       const double start = Now();
-      warm_size = engine.MinProcs(request, target, &stats);
+      warm_size = engine.MinProcs(request, target);
       app.sizing.warm_s = std::min(app.sizing.warm_s, Now() - start);
-      app.sizing.solves = stats.solves;
-      app.sizing.tables_reused = stats.warm_tables_reused;
     }
     app.sizing.identical = cold_size.procs == warm_size.procs &&
                            cold_size.mapping == warm_size.mapping;
@@ -250,14 +230,12 @@ int Run(const std::string& out_path, int points, int reps) {
     }
     all_identical = all_identical && app.persist.byte_identical;
 
-    std::printf("%-10s %-9s %-9s frontier %8.2f ms cold (warm %4.2fx,"
-                " %llu/%llu reused)  sizing %8.2f ms cold (warm %4.2fx)"
+    std::printf("%-10s %-9s %-9s frontier %8.2f ms cold (warm %4.2fx)"
+                "  sizing %8.2f ms cold (warm %4.2fx)"
                 "  map hit %5.2fx%s%s%s\n",
                 app.label.c_str(), app.size.c_str(), app.comm.c_str(),
                 1e3 * app.frontier.cold_s,
                 app.frontier.cold_s / app.frontier.warm_s,
-                static_cast<unsigned long long>(app.frontier.tables_reused),
-                static_cast<unsigned long long>(app.frontier.solves),
                 1e3 * app.sizing.cold_s,
                 app.sizing.cold_s / app.sizing.warm_s,
                 app.cache.miss_s / app.cache.hit_s,
@@ -302,17 +280,12 @@ int Run(const std::string& out_path, int points, int reps) {
     w.Key("cold_s").Double(app.frontier.cold_s);
     w.Key("warm_s").Double(app.frontier.warm_s);
     w.Key("speedup").Double(app.frontier.cold_s / app.frontier.warm_s);
-    w.Key("solves").UInt(app.frontier.solves);
-    w.Key("tables_built").UInt(app.frontier.tables_built);
-    w.Key("tables_reused").UInt(app.frontier.tables_reused);
     w.Key("identical").Bool(app.frontier.identical);
     w.EndObject();
     w.Key("sizing").BeginObject();
     w.Key("cold_s").Double(app.sizing.cold_s);
     w.Key("warm_s").Double(app.sizing.warm_s);
     w.Key("speedup").Double(app.sizing.cold_s / app.sizing.warm_s);
-    w.Key("solves").UInt(app.sizing.solves);
-    w.Key("tables_reused").UInt(app.sizing.tables_reused);
     w.Key("identical").Bool(app.sizing.identical);
     w.EndObject();
     w.Key("cache").BeginObject();

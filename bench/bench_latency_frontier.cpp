@@ -37,8 +37,7 @@ int Run() {
     std::printf("-- %s --\n", w.name.c_str());
     TextTable table({"Design point", "Mapping", "Thr pred", "Lat pred (ms)",
                      "Thr sim", "Lat sim (ms)"});
-    SweepStats stats;
-    const auto frontier = engine.Frontier(request, 6, &stats);
+    const auto frontier = engine.Frontier(request, 6);
     for (std::size_t i = 0; i < frontier.size(); ++i) {
       const FrontierPoint& p = frontier[i];
       const SimResult r = sim.Run(p.mapping, soptions);
@@ -52,10 +51,6 @@ int Run() {
                     TextTable::Num(1000 * r.mean_latency, 2)});
     }
     std::fputs(table.Render().c_str(), stdout);
-    std::printf("frontier warm start: %llu of %llu DP solves reused range"
-                " tables\n",
-                static_cast<unsigned long long>(stats.warm_tables_reused),
-                static_cast<unsigned long long>(stats.solves));
 
     TextTable sizing({"Target (ds/s)", "Min processors", "Achieved"});
     request.solver = SolverPolicy::kDp;

@@ -98,9 +98,20 @@ ModuleConfig LatencyConfig(const Evaluator& eval, int first, int last,
 
 namespace {
 
+/// Per-module-range configurations the DP tabulates before its sweep: for
+/// every (first, last) range and budget 1..cap, the configuration the
+/// solve's rule picks. Stored structure-of-arrays at
+/// (first * k + last) * (cap + 1) + budget so the DP's budget loops scan
+/// contiguous memory; ranges longer than max_len hold invalid entries, and
+/// cfg_procs is 0 when invalid.
+struct DpRangeTables {
+  std::vector<int> cfg_replicas;
+  std::vector<int> cfg_procs;
+  std::vector<char> cfg_valid;
+};
+
 /// Everything RunChainDp shares between its serial scaffolding and the
-/// parallel row sweeps. The range tables live behind a shared_ptr so a
-/// warm start can hand them to the next solve.
+/// parallel row sweeps.
 struct DpContext {
   const Evaluator* eval;
   int k;
@@ -108,19 +119,20 @@ struct DpContext {
   int max_len;
   bool path_sum;
   double response_cap;
-  std::shared_ptr<DpRangeTables> tables;
+  DpRangeTables tables;
 
   std::size_t RangeIndex(int first, int last) const {
     return static_cast<std::size_t>(first) * k + last;
   }
-  ModuleConfig Cfg(int first, int last, int budget) const {
-    return tables->Config(RangeIndex(first, last), budget);
-  }
   /// Flat per-budget rows of range (first, last) — the hot loops scan
   /// these instead of materializing ModuleConfig structs.
   std::size_t CfgBase(int first, int last) const {
-    return RangeIndex(first, last) *
-           static_cast<std::size_t>(tables->budget_stride);
+    return RangeIndex(first, last) * static_cast<std::size_t>(cap + 1);
+  }
+  ModuleConfig Cfg(int first, int last, int budget) const {
+    const std::size_t i = CfgBase(first, last) + budget;
+    return ModuleConfig{tables.cfg_replicas[i], tables.cfg_procs[i],
+                        tables.cfg_valid[i] != 0};
   }
 };
 
@@ -141,7 +153,7 @@ struct BudgetFloors {
 };
 
 BudgetFloors FloorsUnder(const DpContext& ctx, double threshold) {
-  const DpRangeTables& tables = *ctx.tables;
+  const DpRangeTables& tables = ctx.tables;
   const int k = ctx.k;
   BudgetFloors out;
   out.fits = tables.cfg_valid;
@@ -343,29 +355,6 @@ Incumbent IncumbentFromMapping(const DpContext& ctx, const Mapping& mapping) {
   return out;
 }
 
-/// Warm-start table-pool size. Three distinct table keys are live during a
-/// frontier sweep (policy/bottleneck shares a key with policy/path-sum;
-/// latency-body at the current floor plus the unconstrained latency-body
-/// tables make three); one spare absorbs an interleaved odd solve.
-constexpr std::size_t kMaxWarmTables = 4;
-
-/// True when previously built range tables answer the current problem:
-/// same evaluator, configuration rules and feasibility table, budgets
-/// tabulated at least as far as this solve needs. A larger `tables->cap`
-/// is fine — the DP only reads budgets up to its own cap, and per-budget
-/// configurations do not depend on the cap they were tabulated under.
-bool TablesUsable(const DpRangeTables& tables, const Evaluator* eval,
-                  int cap, int max_len, ReplicationPolicy policy,
-                  DpConfigRule rule, double response_cap,
-                  const FeasibleProcs& feasible) {
-  if (tables.eval != eval || tables.cap < cap || tables.max_len != max_len ||
-      tables.rule != rule || tables.feasible != feasible) {
-    return false;
-  }
-  if (rule == DpConfigRule::kPolicy) return tables.policy == policy;
-  return tables.policy == policy && tables.response_cap == response_cap;
-}
-
 /// Stage-sweep partition floor: a worker must have at least this much
 /// estimated work before fanning a stage out one way further. Stages
 /// lighter than a few groups' worth run on fewer workers (often one) —
@@ -495,41 +484,10 @@ DpSolution RunChainDp(const DpProblem& problem) {
   const double response_cap = ctx.response_cap;
 
   // Per-module-range configuration tables: flat (range, budget) arrays.
-  // A warm start whose tables match this problem skips the whole
-  // tabulation; otherwise the tables are built here (ranges are
-  // independent, so they tabulate in parallel; each worker writes only
-  // its own ranges' rows) and handed to the warm state for the next solve.
-  const std::shared_ptr<WarmStartState> warm = options.warm;
-  bool reused_tables = false;
-  if (warm) {
-    for (std::size_t i = 0; i < warm->tables.size(); ++i) {
-      if (warm->tables[i] &&
-          TablesUsable(*warm->tables[i], &eval, cap, max_len, policy,
-                       problem.config_rule, response_cap,
-                       options.proc_feasible)) {
-        ctx.tables = warm->tables[i];
-        // Move to front: most recently used survives pool eviction.
-        warm->tables.erase(warm->tables.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        warm->tables.insert(warm->tables.begin(), ctx.tables);
-        reused_tables = true;
-        ++warm->tables_reused;
-        PIPEMAP_COUNTER_ADD("dp.warm_tables_reused", 1);
-        break;
-      }
-    }
-  }
-  if (!reused_tables) {
-    ctx.tables = std::make_shared<DpRangeTables>();
-    DpRangeTables& tables = *ctx.tables;
-    tables.eval = &eval;
-    tables.cap = cap;
-    tables.max_len = max_len;
-    tables.policy = policy;
-    tables.rule = problem.config_rule;
-    tables.response_cap = response_cap;
-    tables.feasible = options.proc_feasible;
-    tables.budget_stride = cap + 1;
+  // Ranges are independent, so they tabulate in parallel; each worker
+  // writes only its own ranges' rows.
+  {
+    DpRangeTables& tables = ctx.tables;
     const std::size_t cfg_size =
         static_cast<std::size_t>(k) * k * (cap + 1);
     tables.cfg_replicas.assign(cfg_size, 0);
@@ -541,39 +499,30 @@ DpSolution RunChainDp(const DpProblem& problem) {
         ranges.emplace_back(first, last);
       }
     }
-    {
-      PIPEMAP_TRACE_SPAN("dp.cfg_cache", "dp",
-                         static_cast<std::int64_t>(ranges.size()));
-      PIPEMAP_COUNTER_ADD("dp.cfg_ranges",
-                          static_cast<std::uint64_t>(ranges.size()));
-      ParallelFor(
-          num_threads, static_cast<std::int64_t>(ranges.size()),
-          ParallelSchedule::kDynamic, 1,
-          [&](int, std::int64_t begin, std::int64_t end) {
-            for (std::int64_t i = begin; i < end; ++i) {
-              const auto [first, last] = ranges[i];
-              const std::size_t base = ctx.CfgBase(first, last);
-              for (int b = 1; b <= cap; ++b) {
-                const ModuleConfig cfg =
-                    problem.config_rule == DpConfigRule::kLatencyBody
-                        ? LatencyConfig(eval, first, last, b, response_cap,
-                                        options.proc_feasible)
-                        : ConfigureConstrained(eval, first, last, b, policy,
-                                               options.proc_feasible);
-                tables.cfg_replicas[base + b] = cfg.replicas;
-                tables.cfg_procs[base + b] = cfg.valid ? cfg.procs : 0;
-                tables.cfg_valid[base + b] = cfg.valid ? 1 : 0;
-              }
+    PIPEMAP_TRACE_SPAN("dp.cfg_cache", "dp",
+                       static_cast<std::int64_t>(ranges.size()));
+    PIPEMAP_COUNTER_ADD("dp.cfg_ranges",
+                        static_cast<std::uint64_t>(ranges.size()));
+    ParallelFor(
+        num_threads, static_cast<std::int64_t>(ranges.size()),
+        ParallelSchedule::kDynamic, 1,
+        [&](int, std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            const auto [first, last] = ranges[i];
+            const std::size_t base = ctx.CfgBase(first, last);
+            for (int b = 1; b <= cap; ++b) {
+              const ModuleConfig cfg =
+                  problem.config_rule == DpConfigRule::kLatencyBody
+                      ? LatencyConfig(eval, first, last, b, response_cap,
+                                      options.proc_feasible)
+                      : ConfigureConstrained(eval, first, last, b, policy,
+                                             options.proc_feasible);
+              tables.cfg_replicas[base + b] = cfg.replicas;
+              tables.cfg_procs[base + b] = cfg.valid ? cfg.procs : 0;
+              tables.cfg_valid[base + b] = cfg.valid ? 1 : 0;
             }
-          });
-    }
-    if (warm) {
-      warm->tables.insert(warm->tables.begin(), ctx.tables);
-      if (warm->tables.size() > kMaxWarmTables) {
-        warm->tables.resize(kMaxWarmTables);
-      }
-      ++warm->tables_built;
-    }
+          }
+        });
   }
   // Budget floors, first with every valid configuration (θ = +inf): the
   // least budget per range and per chain suffix, for the infeasibility
@@ -592,12 +541,12 @@ DpSolution RunChainDp(const DpProblem& problem) {
   // therefore identical warm or cold.
   Incumbent incumbent = IncumbentBound(ctx, floors.fit_min);
   bool seeded_incumbent = false;
+  WarmStartState* const warm = options.warm.get();
   if (warm && warm->incumbent) {
     Incumbent seeded = IncumbentFromMapping(ctx, *warm->incumbent);
     if (seeded.value < incumbent.value) {
       incumbent = std::move(seeded);
       seeded_incumbent = true;
-      ++warm->incumbents_seeded;
       PIPEMAP_COUNTER_ADD("dp.warm_incumbents_seeded", 1);
     }
   }
@@ -616,8 +565,8 @@ DpSolution RunChainDp(const DpProblem& problem) {
   auto fit_min = [&](int first, int last) {
     return floors.fit_min[ctx.RangeIndex(first, last)];
   };
-  const int* cfg_procs = ctx.tables->cfg_procs.data();
-  const int* cfg_replicas = ctx.tables->cfg_replicas.data();
+  const int* cfg_procs = ctx.tables.cfg_procs.data();
+  const int* cfg_replicas = ctx.tables.cfg_replicas.data();
 
   // ---------------------------------------------------------------------
   // Slot universe: the distinct per-instance processor counts any fitting
@@ -1260,7 +1209,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
   }
   solution.work = work;
   solution.pruned_cells = pruned_cells;
-  solution.reused_tables = reused_tables;
   solution.seeded_incumbent = seeded_incumbent;
   solution.timed_out = timed_out;
   solution.worker_work = std::move(worker_work_total);

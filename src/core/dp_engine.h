@@ -63,47 +63,6 @@ ModuleConfig LatencyConfig(const Evaluator& eval, int first, int last,
                            int budget, double response_cap,
                            const FeasibleProcs& feasible);
 
-/// Pre-tabulated per-module-range data the DP computes before its sweep:
-/// the configuration for every (first, last) range and budget. (The least
-/// budgets per range and per chain suffix are derived per solve, under
-/// the solve's cap and incumbent.) The tables depend only on the key
-/// fields below — notably not on the processor budget of an individual
-/// solve (budgets are tabulated up to `cap`, and any solve with
-/// total_procs <= cap reads a prefix) — which makes them the reusable half
-/// of a warm start.
-///
-/// Configurations are stored structure-of-arrays (parallel replicas /
-/// procs / valid arrays indexed by range * budget_stride + budget) so the
-/// DP's budget loops scan contiguous memory instead of hopping across
-/// 12-byte structs.
-struct DpRangeTables {
-  // Key: everything the table contents depend on. `response_cap` only
-  // shapes configurations under DpConfigRule::kLatencyBody; it is stored
-  // unconditionally and compared only for that rule.
-  const Evaluator* eval = nullptr;
-  int cap = 0;
-  int max_len = 0;
-  ReplicationPolicy policy = ReplicationPolicy::kMaximal;
-  DpConfigRule rule = DpConfigRule::kPolicy;
-  double response_cap = std::numeric_limits<double>::infinity();
-  FeasibleProcs feasible;
-
-  /// Budget axis pitch of the flat configuration arrays (cap + 1).
-  int budget_stride = 0;
-  /// Flat per-(range, budget) configurations at
-  /// (first * k + last) * budget_stride + budget; ranges longer than
-  /// max_len hold invalid entries. cfg_procs is 0 when invalid.
-  std::vector<int> cfg_replicas;
-  std::vector<int> cfg_procs;
-  std::vector<char> cfg_valid;
-
-  ModuleConfig Config(std::size_t range_index, int budget) const {
-    const std::size_t i =
-        range_index * static_cast<std::size_t>(budget_stride) + budget;
-    return ModuleConfig{cfg_replicas[i], cfg_procs[i], cfg_valid[i] != 0};
-  }
-};
-
 struct DpSolution {
   Mapping mapping;
   /// The aggregated objective value (bottleneck response or path sum).
@@ -115,10 +74,8 @@ struct DpSolution {
   /// Deterministic for a given thread count; may differ between thread
   /// counts (the mapping and objective never do).
   std::uint64_t pruned_cells = 0;
-  /// Warm-start provenance: whether the solve reused the range tables
-  /// and whether the caller's incumbent tightened the pruning threshold.
-  /// Neither affects the returned mapping or objective.
-  bool reused_tables = false;
+  /// Warm-start provenance: whether the caller's incumbent tightened the
+  /// pruning threshold. Never affects the returned mapping or objective.
   bool seeded_incumbent = false;
   /// Per-worker share of `work` across the parallel stage sweeps (index =
   /// worker id, size = resolved thread count; sums to `work`). Exposes
@@ -135,9 +92,13 @@ struct DpSolution {
 /// Runs the DP. Throws pipemap::Infeasible when no mapping satisfies the
 /// constraints and pipemap::ResourceLimit when the table would exceed
 /// options.max_table_bytes — or when options.deadline expires before any
-/// feasible incumbent is known. Range-table tabulation always runs to
-/// completion (it is the cheap, reusable half of the solve); the deadline
-/// interrupts the stage sweeps, which dominate the O(P^4 k^2) cost.
+/// feasible incumbent is known. Every run first tabulates its own range
+/// tables (the configuration of every module range at every budget up to
+/// total_procs) from `eval` and the options; that pass always runs to
+/// completion (it is the cheap half of the solve), and the deadline
+/// interrupts the stage sweeps, which dominate the O(P^4 k^2) cost. With
+/// options.warm set, the state's incumbent (re-evaluated under this run's
+/// tables) seeds the pruning threshold, and the run's answer replaces it.
 DpSolution RunChainDp(const DpProblem& problem);
 
 }  // namespace pipemap::detail

@@ -21,8 +21,7 @@ namespace pipemap {
 /// constraints such as the Fx compiler's rectangular-subarray requirement
 /// (Section 6.1), resolved once into a lookup table. Default-constructed,
 /// it admits every count. Two tables compare equal iff they admit the
-/// same counts, so the DP's warm range tables compare the table they were
-/// built under, and the engine keys on it.
+/// same counts.
 class FeasibleProcs {
  public:
   FeasibleProcs() = default;
@@ -66,9 +65,10 @@ struct MapperOptions {
   /// never changes the returned mapping or objective.
   bool observe = false;
   /// Optional warm-start state shared across adjacent solves (frontier
-  /// and budget sweeps). Null runs cold. Purely an accelerator: the DP
-  /// returns identical mappings warm or cold (core/warm_start.h). Never
-  /// part of the cache fingerprint.
+  /// and budget sweeps): an incumbent mapping the DP prunes against. Null
+  /// runs cold. Purely an accelerator: the DP returns identical mappings
+  /// warm or cold (core/warm_start.h). Never part of the cache
+  /// fingerprint.
   std::shared_ptr<WarmStartState> warm;
   /// Optional cooperative deadline polled by solver inner loops. When it
   /// expires mid-solve the mapper stops refining and returns its best

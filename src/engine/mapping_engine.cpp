@@ -15,9 +15,7 @@
 #include "machine/feasible.h"
 #include "support/deadline.h"
 #include "support/error.h"
-#include "support/json_writer.h"
 #include "support/metrics.h"
-#include "support/trace_context.h"
 #include "support/tracer.h"
 
 namespace pipemap {
@@ -288,25 +286,12 @@ void Replay(const CachedSolution& solved, MapResponse* response) {
   response->exact = solved.exact;
 }
 
-/// Runs `sweep(options)` with one warm-start state threaded through all
-/// of its solves, adding the state's reuse counts to `stats`.
-template <typename Sweep>
-auto WarmSweep(MapperOptions options, SweepStats* stats, Sweep sweep) {
+/// The resolved options with one warm-start state threaded through all of
+/// a sweep's solves (the caller's, when the request carries one).
+MapperOptions SweepOptions(const MapRequest& request, int procs) {
+  MapperOptions options = ResolveOptions(request, procs);
   if (!options.warm) options.warm = std::make_shared<WarmStartState>();
-  const WarmStartState& warm = *options.warm;
-  const std::uint64_t built0 = warm.tables_built;
-  const std::uint64_t reused0 = warm.tables_reused;
-  const std::uint64_t seeded0 = warm.incumbents_seeded;
-  auto result = sweep(options);
-  if (stats != nullptr) {
-    stats->warm_tables_built += warm.tables_built - built0;
-    stats->warm_tables_reused += warm.tables_reused - reused0;
-    stats->warm_incumbents_seeded += warm.incumbents_seeded - seeded0;
-    // Every DP run either builds or reuses the range tables exactly once.
-    stats->solves +=
-        (warm.tables_built - built0) + (warm.tables_reused - reused0);
-  }
-  return result;
+  return options;
 }
 
 /// RAII around a single-flight leader's obligation to publish: unless a
@@ -337,35 +322,6 @@ class FlightPublisher {
 };
 
 }  // namespace
-
-std::string MapResponse::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("schema_version").Int(1);
-  w.Key("solver").String(solver);
-  w.Key("objective_value").Double(objective_value);
-  w.Key("throughput").Double(throughput);
-  w.Key("latency_s").Double(latency);
-  w.Key("exact").Bool(exact);
-  w.Key("cache_hit").Bool(cache_hit);
-  w.Key("cache_tier").String(cache_tier);
-  w.Key("shared_solve").Bool(shared_solve);
-  w.Key("cacheable").Bool(cacheable);
-  w.Key("fingerprint").String(FingerprintHex(fingerprint));
-  w.Key("warm").BeginObject();
-  w.Key("tables_built").UInt(warm_tables_built);
-  w.Key("tables_reused").UInt(warm_tables_reused);
-  w.Key("incumbents_seeded").UInt(warm_incumbents_seeded);
-  w.EndObject();
-  w.Key("budget_exhausted").Bool(budget_exhausted);
-  w.Key("timed_out").Bool(timed_out);
-  w.Key("solve_seconds").Double(solve_seconds);
-  w.Key("work").UInt(work);
-  w.Key("pruned_cells").UInt(pruned_cells);
-  if (trace_id != 0) w.Key("trace_id").String(FormatTraceId(trace_id));
-  w.EndObject();
-  return w.str();
-}
 
 MappingEngine::MappingEngine(EngineConfig config)
     : config_(config),
@@ -485,9 +441,6 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   // caller-provided state carries across engine calls on the same chain).
   if (!options.warm) options.warm = std::make_shared<WarmStartState>();
   WarmStartState& warm = *options.warm;
-  const std::uint64_t built0 = warm.tables_built;
-  const std::uint64_t reused0 = warm.tables_reused;
-  const std::uint64_t seeded0 = warm.incumbents_seeded;
 
   // Portfolio stage list: kAuto escalates greedy → DP (→ brute force on
   // tiny instances) for throughput and runs the latency DP otherwise;
@@ -557,9 +510,6 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   response.work = best->work;
   response.pruned_cells = best->pruned_cells;
   response.solver = ran;
-  response.warm_tables_built = warm.tables_built - built0;
-  response.warm_tables_reused = warm.tables_reused - reused0;
-  response.warm_incumbents_seeded = warm.incumbents_seeded - seeded0;
   response.solve_seconds = SecondsSince(start);
 
   if (response.timed_out) PIPEMAP_COUNTER_ADD("engine.map.timed_out", 1);
@@ -586,33 +536,25 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
 }
 
 std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
-                                                   int num_points,
-                                                   SweepStats* stats) {
+                                                   int num_points) {
   ValidateRequest(request);
   PIPEMAP_COUNTER_ADD("engine.frontier.calls", 1);
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned_eval;
   const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
-  return WarmSweep(ResolveOptions(request, procs), stats,
-                   [&](const MapperOptions& with_warm) {
-                     return LatencyThroughputFrontier(eval, procs, num_points,
-                                                      with_warm);
-                   });
+  return LatencyThroughputFrontier(eval, procs, num_points,
+                                   SweepOptions(request, procs));
 }
 
 ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
-                                        double target_throughput,
-                                        SweepStats* stats) {
+                                        double target_throughput) {
   ValidateRequest(request);
   PIPEMAP_COUNTER_ADD("engine.min_procs.calls", 1);
   const int procs = ResolveProcs(request);
   std::optional<Evaluator> owned_eval;
   const Evaluator& eval = RequestEvaluator(request, procs, &owned_eval);
-  return WarmSweep(ResolveOptions(request, procs), stats,
-                   [&](const MapperOptions& with_warm) {
-                     return MinProcessorsForThroughput(
-                         eval, procs, target_throughput, with_warm);
-                   });
+  return MinProcessorsForThroughput(eval, procs, target_throughput,
+                                    SweepOptions(request, procs));
 }
 
 }  // namespace pipemap

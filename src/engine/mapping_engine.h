@@ -3,11 +3,10 @@
 // Callers describe *what* they want mapped — a chain, a machine, an
 // objective, a solver policy — as a MapRequest; the engine decides *how*:
 // which solver(s) to run, whether a cached solution already answers the
-// request, and how to thread warm-start state through sweep-shaped
-// workloads (latency/throughput frontiers, machine sizing). The response
-// carries the mapping plus full provenance: which solver produced it,
-// whether it is exact, the request fingerprint, cache and warm-start
-// behavior, and wall-clock cost.
+// request, and how to carry an incumbent through sweep-shaped workloads
+// (latency/throughput frontiers, machine sizing). The response carries
+// the mapping plus full provenance: which solver produced it, whether it
+// is exact, the request fingerprint, cache behavior, and wall-clock cost.
 //
 // Solver policy:
 //   * kAuto (throughput): run greedy for a fast incumbent, then escalate
@@ -39,8 +38,8 @@
 // waiter with MapResponse::shared_solve provenance.
 //
 // Sweeps (Frontier, MinProcs) are not cached: each call solves, and one
-// warm-start state carries range tables and incumbents across the
-// sweep's solves.
+// warm-start state carries each solve's mapping to the next as its
+// pruning incumbent. Every DP solve tabulates its own range tables.
 #pragma once
 
 #include <cstdint>
@@ -166,10 +165,6 @@ struct MapResponse {
   /// The request was keyed (fingerprint != 0) and eligible for the cache.
   bool cacheable = false;
   std::uint64_t fingerprint = 0;
-  /// Warm-start activity during this solve (0 on cache hits).
-  std::uint64_t warm_tables_built = 0;
-  std::uint64_t warm_tables_reused = 0;
-  std::uint64_t warm_incumbents_seeded = 0;
   /// kAuto stopped escalating because time_budget_s was spent.
   bool budget_exhausted = false;
   /// A solver was interrupted mid-stage by the request deadline and
@@ -177,21 +172,8 @@ struct MapResponse {
   /// never cached.
   bool timed_out = false;
   double solve_seconds = 0.0;
-  /// Echo of MapRequest::trace_id (0 = untraced); rendered as 16 hex
-  /// digits in ToJson when set.
+  /// Echo of MapRequest::trace_id (0 = untraced).
   std::uint64_t trace_id = 0;
-
-  /// Provenance as JSON (support/json_writer.h); mapping excluded — pair
-  /// with SerializeMapping or the run report for the mapping itself.
-  std::string ToJson() const;
-};
-
-/// Warm-start activity across an engine-driven sweep (Frontier/MinProcs).
-struct SweepStats {
-  std::uint64_t solves = 0;
-  std::uint64_t warm_tables_built = 0;
-  std::uint64_t warm_tables_reused = 0;
-  std::uint64_t warm_incumbents_seeded = 0;
 };
 
 struct EngineConfig {
@@ -220,20 +202,17 @@ class MappingEngine {
   MapResponse Map(const MapRequest& request);
 
   /// The latency/throughput Pareto frontier on the request's machine and
-  /// budget. All solves in the sweep share one warm-start state (range
-  /// tables and incumbents carry across floors); `stats`, when non-null,
-  /// receives the reuse counts. The request's objective and use_cache
-  /// fields are ignored.
+  /// budget. All solves in the sweep share one warm-start state, so each
+  /// floor's DP prunes against the previous floor's mapping. The
+  /// request's objective and use_cache fields are ignored.
   std::vector<FrontierPoint> Frontier(const MapRequest& request,
-                                      int num_points,
-                                      SweepStats* stats = nullptr);
+                                      int num_points);
 
-  /// Smallest processor count reaching `target_throughput`, warm-starting
-  /// the binary search's solves like Frontier. The request's total_procs
-  /// (or the machine size) bounds the search.
+  /// Smallest processor count reaching `target_throughput`, carrying the
+  /// incumbent through the binary search's solves like Frontier. The
+  /// request's total_procs (or the machine size) bounds the search.
   ProcCountResult MinProcs(const MapRequest& request,
-                           double target_throughput,
-                           SweepStats* stats = nullptr);
+                           double target_throughput);
 
   /// Request key of `request` (also computed by Map), tabulating an
   /// Evaluator unless the request carries one; 0 when the Evaluator is

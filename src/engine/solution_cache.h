@@ -91,9 +91,8 @@ class SolutionCache {
     bool evicted = false;
     if (!result && persist_.enabled()) {
       if (std::optional<CachedSolution> loaded = persist_.Load(key)) {
-        // Rehydrate the memory tier so repeats are pure memory hits (and,
-        // engine-side, the key is warm-pool eligible again). The load is
-        // not a caller insert — only its eviction is counted.
+        // Rehydrate the memory tier so repeats are pure memory hits. The
+        // load is not a caller insert — only its eviction is counted.
         CachedSolution resident = *loaded;
         resident.from_disk = false;
         evicted = InsertEntry(key, std::move(resident));

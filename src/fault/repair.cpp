@@ -2,15 +2,12 @@
 
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <thread>
 #include <utility>
 
 #include "core/evaluator.h"
-#include "core/warm_start.h"
 #include "support/deadline.h"
 #include "support/error.h"
-#include "support/json_writer.h"
 #include "support/metrics.h"
 #include "support/tracer.h"
 
@@ -74,22 +71,6 @@ void ApplyCrashToRequest(RepairRequest& request, const FaultPlan& plan) {
     if (plan.CrashedAt(crash->module, inst, late)) ++failed;
   }
   request.failed_instances = failed;
-}
-
-std::string RepairOutcome::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("pre_fault_throughput").Double(pre_fault_throughput);
-  w.Key("post_fault_throughput").Double(post_fault_throughput);
-  w.Key("throughput_retention").Double(throughput_retention);
-  w.Key("attempts").Int(attempts);
-  w.Key("degraded").Bool(degraded);
-  w.Key("timed_out").Bool(timed_out);
-  w.Key("warm_start_used").Bool(warm_start_used);
-  w.Key("repair_seconds").Double(repair_seconds);
-  w.Key("solver").String(solver);
-  w.EndObject();
-  return w.str();
 }
 
 RepairEngine::RepairEngine(MappingEngine* engine)
@@ -167,8 +148,7 @@ RepairOutcome RepairEngine::Repair(const RepairRequest& request) const {
     outcome.post_fault_throughput = degraded_throughput;
     outcome.degraded = true;
   } else {
-    // Full remap on the survivors, warm-started from the shrunk candidate
-    // so the DP has a feasible incumbent to prune against from stage one.
+    // Full remap on the survivors.
     MapRequest mr;
     mr.chain = &chain;
     mr.machine = request.machine;
@@ -177,9 +157,6 @@ RepairOutcome RepairEngine::Repair(const RepairRequest& request) const {
     mr.solver = SolverPolicy::kAuto;
     mr.options = request.options;
     mr.use_cache = request.use_cache;
-    auto warm = std::make_shared<WarmStartState>();
-    if (shrunk_valid) warm->incumbent = shrunk;
-    mr.options.warm = warm;
 
     const int attempts_allowed = std::max(request.max_attempts, 1);
     MapResponse response;
@@ -205,7 +182,6 @@ RepairOutcome RepairEngine::Repair(const RepairRequest& request) const {
     outcome.mapping = std::move(response.mapping);
     outcome.post_fault_throughput = response.throughput;
     outcome.timed_out = response.timed_out;
-    outcome.warm_start_used = response.warm_incumbents_seeded > 0;
     outcome.solver = response.solver;
     PIPEMAP_COUNTER_ADD("repair.remaps", 1);
   }

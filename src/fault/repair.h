@@ -12,10 +12,10 @@
 //     latency is microseconds, but the shrunk module may become the new
 //     bottleneck (degraded throughput).
 //   * kFullRemap — re-run the MappingEngine portfolio on the surviving
-//     processor count. Slowest but recovers the most throughput; the
-//     engine's solution cache and a warm-start incumbent seeded from the
-//     drop-replica candidate make repeat repairs fast (cold vs. warm is
-//     what bench_fault_recovery measures).
+//     processor count: one plain Map request, so the DP prunes against
+//     greedy's incumbent like any other solve. Slowest but recovers the
+//     most throughput; the engine's solution cache makes repeat repairs
+//     fast (cold vs. warm is what bench_fault_recovery measures).
 //   * kThroughputFloor — accept the drop-replica candidate when it retains
 //     at least `throughput_floor_fraction` of the pre-fault throughput,
 //     otherwise escalate to a full remap. Throws pipemap::Infeasible when
@@ -100,14 +100,11 @@ struct RepairOutcome {
   /// The kept remap attempt was interrupted by its deadline (best
   /// incumbent, not certified optimal).
   bool timed_out = false;
-  bool warm_start_used = false;
   /// Wall-clock recovery latency: drop-replica evaluation plus all remap
   /// attempts including backoff sleeps.
   double repair_seconds = 0.0;
   /// Solver chain of the kept remap ("" for drop-replica repairs).
   std::string solver;
-
-  std::string ToJson() const;
 };
 
 class RepairEngine {

@@ -31,7 +31,7 @@ class Deadline {
 
   /// A deadline `seconds` from now. Non-finite or huge values yield a token
   /// that never expires (time_point::max()). A zero or negative value is an
-  /// ALREADY-EXPIRED deadline — use HasBudget/ForBudget when the caller's
+  /// ALREADY-EXPIRED deadline — check HasBudget first when the caller's
   /// convention is "0/unset means no time limit".
   static std::shared_ptr<const Deadline> After(double seconds) {
     return std::make_shared<const Deadline>(TimePointAfter(seconds));
@@ -45,17 +45,6 @@ class Deadline {
   /// reading turned that into solves that gave up at the starting line.
   static bool HasBudget(double seconds) {
     return std::isfinite(seconds) && seconds > 0.0;
-  }
-
-  /// A deadline for a budget under the HasBudget contract: a token that
-  /// never expires when `seconds` carries no budget, else `seconds` after
-  /// `anchor`.
-  static std::shared_ptr<const Deadline> ForBudget(Clock::time_point anchor,
-                                                   double seconds) {
-    if (!HasBudget(seconds)) {
-      return std::make_shared<const Deadline>(Clock::time_point::max());
-    }
-    return std::make_shared<const Deadline>(TimePointFrom(anchor, seconds));
   }
 
   /// A deadline `seconds` after an externally chosen anchor, so callers that

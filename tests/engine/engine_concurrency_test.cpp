@@ -83,9 +83,8 @@ TEST(EngineConcurrencyTest, MixedMapAndSweepTrafficIsSafeAndDeterministic) {
             break;
           }
           case 1: {
-            SweepStats stats;
             const std::vector<FrontierPoint> frontier =
-                shared.Frontier(request, 3, &stats);
+                shared.Frontier(request, 3);
             if (frontier.empty() ||
                 frontier.front().throughput !=
                     expected_frontier_first[static_cast<std::size_t>(v)]) {

@@ -558,16 +558,13 @@ int FrontierCommand(const std::vector<std::string>& args, std::ostream& out) {
   request.machine = problem.machine;
   request.options.num_threads = flags.GetInt("threads", 0);
   const int points = flags.GetInt("points", 6);
-  SweepStats stats;
   const std::vector<FrontierPoint> frontier =
-      MappingEngine::Shared().Frontier(request, points, &stats);
+      MappingEngine::Shared().Frontier(request, points);
   out << "latency/throughput Pareto frontier (" << P << " processors):\n";
   for (const FrontierPoint& p : frontier) {
     out << "  " << p.throughput << " data sets/s @ " << p.latency * 1000.0
         << " ms   " << p.mapping.ToString(problem.chain) << "\n";
   }
-  out << "warm start: " << stats.warm_tables_reused << " of " << stats.solves
-      << " DP solves reused range tables\n";
   observation.Write(out);
   return 0;
 }
