@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "core/evaluator.h"
@@ -161,10 +160,6 @@ RepairOutcome RepairEngine::Repair(const RepairRequest& request) const {
     const int attempts_allowed = std::max(request.max_attempts, 1);
     MapResponse response;
     for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
-      if (attempt > 0 && request.backoff_s > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(request.backoff_s));
-      }
       // A non-binding deadline (0/inf — see RepairRequest) stays
       // non-binding: growing it would just produce another unlimited
       // attempt, and 0 * growth must not turn into a binding microbudget.

@@ -23,10 +23,10 @@
 //
 // Remap solves run under the cooperative deadline machinery
 // (support/deadline.h): each attempt gets `solver_deadline_s` (grown by
-// `deadline_growth` per retry), and a timed-out attempt retries up to
-// `max_attempts` times with `backoff_s` sleeps in between. The last
-// attempt's incumbent is kept when every attempt times out — repair always
-// returns a valid mapping on the survivors or throws.
+// `deadline_growth` per retry), and a timed-out attempt retries at once,
+// up to `max_attempts` times. The last attempt's incumbent is kept when
+// every attempt times out — repair always returns a valid mapping on the
+// survivors or throws.
 #pragma once
 
 #include <string>
@@ -69,10 +69,9 @@ struct RepairRequest {
   /// positive and finite (Deadline::HasBudget): 0, negative, and infinity
   /// all mean "no deadline", matching MapRequest::time_budget_s.
   double solver_deadline_s = 0.0;
-  /// Retry/backoff loop for timed-out remap attempts.
+  /// Retry loop for timed-out remap attempts.
   int max_attempts = 3;
   double deadline_growth = 2.0;
-  double backoff_s = 0.0;
   /// Solver options for remap solves (threads, replication policy, ...).
   MapperOptions options;
   /// Consult/populate the engine's solution cache for remap solves.
@@ -101,7 +100,7 @@ struct RepairOutcome {
   /// incumbent, not certified optimal).
   bool timed_out = false;
   /// Wall-clock recovery latency: drop-replica evaluation plus all remap
-  /// attempts including backoff sleeps.
+  /// attempts.
   double repair_seconds = 0.0;
   /// Solver chain of the kept remap ("" for drop-replica repairs).
   std::string solver;

@@ -140,21 +140,12 @@ PipemapServer::PipemapServer(ServerConfig config)
   if (config_.queue_capacity < 1) {
     throw InvalidArgument("ServerConfig::queue_capacity must be >= 1");
   }
-  if (!config_.cache_dir.empty()) {
-    DiskPersistOptions persist;
-    persist.dir = config_.cache_dir;
-    persist.max_bytes = config_.cache_dir_max_bytes;
-    engine_->cache().EnablePersistence(persist);
-  }
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
   if (!config_.access_log_path.empty()) {
     AccessLogger::Options options;
     options.path = config_.access_log_path;
     options.max_bytes = config_.access_log_max_bytes;
-    options.queue_capacity = config_.access_log_queue;
     access_log_ = std::make_unique<AccessLogger>(options);
   }
-#endif
 }
 
 PipemapServer::~PipemapServer() { Drain(); }
@@ -421,9 +412,7 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
         }
         job->admitted = received;
         job->bytes_in = payload.size();
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
         if (Tracer::Enabled()) job->admitted_ns = Tracer::NowNs();
-#endif
       } catch (const std::exception& e) {
         {
           std::lock_guard<std::mutex> lock(counters_mu_);
@@ -578,7 +567,6 @@ void PipemapServer::WorkerLoop() {
     }
     job->response.set_value(std::move(response));
 
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
     // Correlated spans, all carrying the trace id as the arg: the whole
     // request from admission, the queue wait inside it, and the handler.
     // Explicit timestamps reconstruct the queue phase the worker never
@@ -600,7 +588,6 @@ void PipemapServer::WorkerLoop() {
       tracer.Record("server.request", "server", job->admitted_ns,
                     start_ns - job->admitted_ns + solve_ns, span_arg);
     }
-#endif
 
     PIPEMAP_HISTOGRAM_RECORD("server.request_us", total_s * 1e6);
     PIPEMAP_HISTOGRAM_RECORD("server.queue_wait_us", queue_wait_s * 1e6);
@@ -955,8 +942,8 @@ std::string PipemapServer::HandleMetrics(const ServerRequest& request) {
       PrometheusExposition(MetricsRegistry::Global().Snapshot());
   // Wrapped in the protocol's one-JSON-object response contract; the
   // scraper unwraps `exposition` (tools/check_prometheus.py does). An
-  // empty registry — metrics disabled, or PIPEMAP_NO_OBSERVABILITY —
-  // yields an empty string, which is a valid (empty-series) exposition.
+  // empty registry (collection off at run time) yields an empty string,
+  // which is a valid (empty-series) exposition.
   JsonWriter w;
   w.BeginObject();
   w.Key("ok").Bool(true);
@@ -969,7 +956,6 @@ std::string PipemapServer::HandleMetrics(const ServerRequest& request) {
 }
 
 void PipemapServer::PublishSloGauges() {
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
   const SloState slo = slo_.Snapshot();
   PIPEMAP_GAUGE_SET("slo.window_requests", static_cast<double>(slo.requests));
   PIPEMAP_GAUGE_SET("slo.window_errors", static_cast<double>(slo.errors));
@@ -979,7 +965,6 @@ void PipemapServer::PublishSloGauges() {
   PIPEMAP_GAUGE_SET("slo.p99_burn_ratio", slo.p99_burn_ratio);
   PIPEMAP_GAUGE_SET("slo.error_burn_ratio", slo.error_burn_ratio);
   PIPEMAP_GAUGE_SET("slo.burning", slo.burning ? 1.0 : 0.0);
-#endif
 }
 
 void PipemapServer::FinishRequest(std::uint64_t trace_id,
@@ -988,7 +973,6 @@ void PipemapServer::FinishRequest(std::uint64_t trace_id,
                                   std::size_t bytes_in, std::size_t bytes_out,
                                   double queue_wait_s, double solve_s,
                                   double total_s) {
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
   // Shed requests never enter the SLO window: they are backpressure, not
   // served work, and counting them as errors (or as microsecond
   // latencies) would wedge the burn signal on — shedding would cause the
@@ -1032,16 +1016,6 @@ void PipemapServer::FinishRequest(std::uint64_t trace_id,
     line += "}";
     access_log_->Append(line);
   }
-#else
-  (void)trace_id;
-  (void)op;
-  (void)outcome;
-  (void)bytes_in;
-  (void)bytes_out;
-  (void)queue_wait_s;
-  (void)solve_s;
-  (void)total_s;
-#endif
 }
 
 AccessLogger::Stats PipemapServer::access_log_stats() const {

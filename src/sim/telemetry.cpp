@@ -1,7 +1,5 @@
 #include "sim/telemetry.h"
 
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
-
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -189,5 +187,3 @@ void SimTelemetry::Finish(const SimResult& result) {
 }
 
 }  // namespace pipemap
-
-#endif  // PIPEMAP_NO_OBSERVABILITY

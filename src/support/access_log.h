@@ -15,9 +15,8 @@
 //   * Flush drains the queue and fflushes, for tests and for the final
 //     drain report; the destructor does the same before closing.
 //
-// The logger itself is plain infrastructure — it compiles and runs under
-// PIPEMAP_NO_OBSERVABILITY; it is the *call sites* (server/server.cpp)
-// that compile away, which is what makes the whole layer a no-op there.
+// The server (server/server.cpp) builds one only when given a path; with
+// none, it holds a null logger and writes no lines.
 #pragma once
 
 #include <atomic>

@@ -8,10 +8,9 @@
 //     calls never contend on one line;
 //   * recording is gated on a single relaxed atomic load
 //     (MetricsRegistry::Enabled()); with collection off, an instrumented
-//     call site is one predictable branch;
-//   * the PIPEMAP_* macros below compile to nothing when
-//     PIPEMAP_NO_OBSERVABILITY is defined, for builds that must prove the
-//     instrumentation is free.
+//     call site is one predictable branch. That run-time switch is the
+//     only one: every build compiles the same instrumentation, and
+//     perfbench's support.observe_overhead measures its on/off cost.
 // Shards are only aggregated when a snapshot is taken, never on the hot
 // path. Handles returned by GetCounter/GetGauge/GetHistogram are interned
 // by name and remain valid for the registry's lifetime (Reset zeroes
@@ -205,15 +204,6 @@ class ScopedMetricsEnable {
 
 // Instrumentation macros. `name` must be a string literal; the handle is
 // interned once per call site and cached in a function-local static.
-#if defined(PIPEMAP_NO_OBSERVABILITY)
-
-#define PIPEMAP_COUNTER_ADD(name, n) ((void)0)
-#define PIPEMAP_GAUGE_SET(name, v) ((void)0)
-#define PIPEMAP_GAUGE_MAX(name, v) ((void)0)
-#define PIPEMAP_HISTOGRAM_RECORD(name, v) ((void)0)
-
-#else
-
 #define PIPEMAP_COUNTER_ADD(name, n)                                     \
   do {                                                                   \
     if (::pipemap::MetricsRegistry::Enabled()) {                         \
@@ -253,5 +243,3 @@ class ScopedMetricsEnable {
       pipemap_metric_handle_->Record(static_cast<double>(v));            \
     }                                                                    \
   } while (false)
-
-#endif  // PIPEMAP_NO_OBSERVABILITY

@@ -19,8 +19,8 @@
 //     the buckets.
 //
 // An empty snapshot renders to an empty (zero-series) document, which is
-// still a valid exposition — the PIPEMAP_NO_OBSERVABILITY build of the
-// server relies on that.
+// still a valid exposition — a server with collection off at run time
+// serves exactly that.
 #pragma once
 
 #include <string>

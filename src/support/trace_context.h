@@ -12,10 +12,9 @@
 // counter through a splitmix64 finalizer, so concurrent admitters never
 // hand out the same id and ids do not reveal the request count.
 //
-// This is identity plumbing, not instrumentation: it stays live under
-// PIPEMAP_NO_OBSERVABILITY (responses still echo trace ids — only the
-// spans, metrics, and access-log lines recorded *about* the id compile
-// out).
+// This is identity plumbing, not instrumentation: responses echo trace
+// ids whether or not spans, metrics and access-log lines are recorded
+// about them.
 #pragma once
 
 #include <cstdint>

@@ -130,12 +130,6 @@ class Tracer {
 
 }  // namespace pipemap
 
-#if defined(PIPEMAP_NO_OBSERVABILITY)
-
-#define PIPEMAP_TRACE_SPAN(...) ((void)0)
-
-#else
-
 #define PIPEMAP_TRACE_CONCAT_IMPL_(a, b) a##b
 #define PIPEMAP_TRACE_CONCAT_(a, b) PIPEMAP_TRACE_CONCAT_IMPL_(a, b)
 /// Declares a block-scoped span: PIPEMAP_TRACE_SPAN("dp.stage", "dp", j);
@@ -144,5 +138,3 @@ class Tracer {
       pipemap_trace_span_, __LINE__) {                           \
     __VA_ARGS__                                                  \
   }
-
-#endif  // PIPEMAP_NO_OBSERVABILITY

@@ -115,7 +115,6 @@ TEST(MakeFeasibleTest, ReducesReplicationUntilPackable) {
   EXPECT_EQ(fixed.num_modules(), 2);
 }
 
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
 TEST(MakeFeasibleTest, SearchesTheRootMappingOnce) {
   const MachineConfig machine = SmallGrid();
   const FeasibilityChecker checker(machine);
@@ -134,7 +133,6 @@ TEST(MakeFeasibleTest, SearchesTheRootMappingOnce) {
   EXPECT_EQ(searches->Total() - before,
             static_cast<std::uint64_t>(24 - fixed.modules[0].replicas + 1));
 }
-#endif  // PIPEMAP_NO_OBSERVABILITY
 
 TEST(MakeFeasibleTest, ThrowsWhenNoVariantIsFeasible) {
   const MachineConfig machine = SmallGrid();

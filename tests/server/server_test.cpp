@@ -19,14 +19,18 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/evaluator.h"
 #include "engine/mapping_engine.h"
 #include "gtest/gtest.h"
 #include "io/serialize.h"
+#include "machine/feasible.h"
 #include "server/client.h"
 #include "support/chaos.h"
 #include "support/error.h"
 #include "support/json_verify.h"
+#include "support/json_writer.h"
 #include "support/metrics.h"
+#include "support/prometheus.h"
 #include "support/trace_context.h"
 #include "support/tracer.h"
 #include "workloads/synthetic.h"
@@ -119,6 +123,49 @@ TEST(ServerTest, MapSolvesAndSharesTheCacheAcrossConnections) {
   const std::string warm = CheckedCall(second, request);
   EXPECT_TRUE(IsOk(warm));
   EXPECT_NE(warm.find("\"cache_hit\": true"), std::string::npos);
+}
+
+TEST(ServerTest, SolveIsByteIdenticalToADirectEngineSolve) {
+  const Problem problem = MakeProblem(4, 8);
+  TestServer ts;
+  ServerClient client = ts.Connect();
+  ServerRequest request = MapRequestFor(problem);
+  request.trace_id = GenerateTraceId();
+  const std::string response = CheckedCall(client, request);
+  ASSERT_TRUE(IsOk(response));
+
+  // Replicate the handler's solve on a fresh engine with no server in the
+  // path. The deterministic solver must produce the same mapping and
+  // objective, rendered byte-for-byte the way the response renders them.
+  const TaskChain chain = ParseChain(problem.chain_text);
+  const MachineConfig machine = ParseMachine(problem.machine_text);
+  MapRequest mr;
+  mr.chain = &chain;
+  mr.machine = machine;
+  mr.total_procs = machine.total_procs();
+  mr.options.num_threads = request.threads;
+  mr.use_cache = request.use_cache;
+  mr.solver = SolverPolicy::kAuto;
+  mr.objective = MapObjective::kThroughput;
+
+  MappingEngine direct_engine;
+  const MapResponse direct = direct_engine.Map(mr);
+  const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
+                       request.threads);
+  const Mapping mapping =
+      FeasibilityChecker(machine).MakeFeasible(direct.mapping, eval);
+
+  std::string mapping_fragment = "\"mapping\": ";
+  JsonWriter::AppendEscaped(mapping_fragment, SerializeMapping(mapping));
+  EXPECT_NE(response.find(mapping_fragment), std::string::npos) << response;
+
+  std::string objective_fragment = "\"objective_value\": ";
+  JsonWriter::AppendDouble(objective_fragment, direct.objective_value);
+  EXPECT_NE(response.find(objective_fragment), std::string::npos) << response;
+
+  std::string solver_fragment = "\"solver\": ";
+  JsonWriter::AppendEscaped(solver_fragment, direct.solver);
+  EXPECT_NE(response.find(solver_fragment), std::string::npos) << response;
 }
 
 TEST(ServerTest, SimulateAndReportRoundTrip) {
@@ -426,6 +473,25 @@ TEST(ServerTest, MetricsOpServesPrometheusExposition) {
   EXPECT_NE(response.find("pipemap_slo_window_requests"), std::string::npos)
       << response;
   MetricsRegistry::Global().Reset();
+}
+
+TEST(ServerTest, MetricsOpWithCollectionOffServesTheRegistryUntouched) {
+  const ScopedMetricsEnable disable(false);
+  // Empty in a process that never turned collection on.
+  const std::string before =
+      PrometheusExposition(MetricsRegistry::Global().Snapshot());
+  TestServer ts;
+  ServerClient client = ts.Connect();
+  ASSERT_TRUE(IsOk(CheckedCall(client, MapRequestFor(MakeProblem(4, 8)))));
+
+  ServerRequest metrics;
+  metrics.op = "metrics";
+  const std::string response = CheckedCall(client, metrics);
+  EXPECT_TRUE(IsOk(response));
+  // Served traffic interned and changed nothing, SLO gauges included.
+  std::string exposition = "\"exposition\": ";
+  JsonWriter::AppendEscaped(exposition, before);
+  EXPECT_NE(response.find(exposition), std::string::npos) << response;
 }
 
 TEST(ServerTest, AccessLogHasOneJoinableLinePerRequest) {

@@ -13,12 +13,6 @@
 #include "../test_util.h"
 
 namespace pipemap {
-namespace testing {
-// Defined in metrics_noop_tu.cpp, which compiles the instrumentation
-// macros with PIPEMAP_NO_OBSERVABILITY.
-void RunNoopInstrumentation();
-}  // namespace testing
-
 namespace {
 
 using testing::IsValidJson;
@@ -281,20 +275,6 @@ TEST_F(MetricsTest, DisabledTracerSpansAreInert) {
     Tracer::Global().Enable(true);
   }
   EXPECT_TRUE(Tracer::Global().Events().empty());
-}
-
-TEST_F(MetricsTest, CompileTimeNoopPathRecordsNothing) {
-  testing::RunNoopInstrumentation();
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    EXPECT_EQ(name.rfind("noop.", 0), std::string::npos) << name;
-  }
-  EXPECT_EQ(snap.counters.count("noop.counter"), 0u);
-  EXPECT_EQ(snap.gauges.count("noop.gauge"), 0u);
-  EXPECT_EQ(snap.histograms.count("noop.histogram"), 0u);
-  for (const Tracer::Event& e : Tracer::Global().Events()) {
-    EXPECT_STRNE(e.name, "noop.span");
-  }
 }
 
 TEST_F(MetricsTest, ObservedDpRunMatchesUnobservedRun) {

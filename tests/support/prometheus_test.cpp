@@ -31,8 +31,8 @@ TEST(PrometheusNameTest, ManglesToValidMetricNames) {
 }
 
 TEST(PrometheusExpositionTest, EmptySnapshotIsEmptyDocument) {
-  // The PIPEMAP_NO_OBSERVABILITY server relies on this: an empty registry
-  // renders to a valid, zero-series exposition.
+  // A server that runs with collection off at run time interns no metric,
+  // so its `metrics` op serves this: a valid, zero-series exposition.
   EXPECT_EQ(PrometheusExposition(MetricsSnapshot{}), "");
 }
 

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/cache_persist.h"
+#include "engine/mapping_engine.h"
 #include "server/server.h"
 #include "support/chaos.h"
 #include "support/error.h"
@@ -113,6 +115,7 @@ double CheckedDoubleFlag(const char* name, const std::string& value) {
 
 int main(int argc, char** argv) {
   pipemap::server::ServerConfig config;
+  pipemap::DiskPersistOptions persist;
   std::string trace_path;
   std::string chaos_spec;
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -136,9 +139,9 @@ int main(int argc, char** argv) {
       config.queue_capacity =
           static_cast<std::size_t>(CheckedFlag("--queue", value()));
     } else if (arg == "--cache-dir") {
-      config.cache_dir = value();
+      persist.dir = value();
     } else if (arg == "--cache-dir-max-bytes") {
-      config.cache_dir_max_bytes = static_cast<std::uint64_t>(
+      persist.max_bytes = static_cast<std::uint64_t>(
           CheckedFlag("--cache-dir-max-bytes", value()));
     } else if (arg == "--no-overload") {
       config.overload_enabled = false;
@@ -215,6 +218,10 @@ int main(int argc, char** argv) {
 
   const pipemap::ScopedMetricsEnable metrics_on(true);
   if (!trace_path.empty()) pipemap::Tracer::Global().Enable(true);
+  // The daemon serves MappingEngine::Shared() (config.engine is null).
+  if (!persist.dir.empty()) {
+    pipemap::MappingEngine::Shared().cache().EnablePersistence(persist);
+  }
   pipemap::server::PipemapServer server(config);
   try {
     server.Start();
