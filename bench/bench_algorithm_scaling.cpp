@@ -3,17 +3,33 @@
 // O(P k) — "this computation cost can be unacceptably high when the number
 // of processors is large, particularly when mapping tasks dynamically."
 //
-// google-benchmark timings over P for both mappers, plus k-scaling at
-// fixed P.
-#include <benchmark/benchmark.h>
+// Best-of-kReps steady-clock timings over P for both mappers, plus
+// k-scaling at fixed P and the cost of one Evaluator::Throughput call. The
+// work column is the mapper's own count: DP transitions or greedy steps.
+//
+// Usage: bench_algorithm_scaling
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <limits>
+#include <string>
 
 #include "core/dp_mapper.h"
 #include "core/evaluator.h"
 #include "core/greedy_mapper.h"
+#include "support/table.h"
 #include "workloads/synthetic.h"
 
 namespace pipemap::bench {
 namespace {
+
+constexpr int kReps = 20;
+
+double Now() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 Workload ChainFor(int num_tasks, int procs) {
   workloads::SyntheticSpec spec;
@@ -24,88 +40,74 @@ Workload ChainFor(int num_tasks, int procs) {
   return workloads::MakeSynthetic(spec, 12345);
 }
 
-void BM_DpMapperVsProcs(benchmark::State& state) {
-  const int procs = static_cast<int>(state.range(0));
-  const Workload w = ChainFor(3, procs);
+/// Adds one row: the best of kReps wall times of `mapper.Map` on a fresh
+/// synthetic chain with `num_tasks` tasks and `procs` processors.
+template <typename Mapper>
+void TimeMapper(TextTable& table, const std::string& series,
+                const Mapper& mapper, int num_tasks, int procs) {
+  const Workload w = ChainFor(num_tasks, procs);
   const Evaluator eval(w.chain, procs, w.machine.node_memory_bytes);
-  DpMapper mapper;
+  double best = std::numeric_limits<double>::infinity();
   std::uint64_t work = 0;
-  for (auto _ : state) {
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double start = Now();
     const MapResult r = mapper.Map(eval, procs);
+    best = std::min(best, Now() - start);
     work = r.work;
-    benchmark::DoNotOptimize(r.throughput);
   }
-  state.counters["dp_transitions"] = static_cast<double>(work);
+  table.AddRow({series, TextTable::Num(num_tasks), TextTable::Num(procs),
+                TextTable::Num(best * 1e6, 1), std::to_string(work)});
 }
-BENCHMARK(BM_DpMapperVsProcs)->Arg(16)->Arg(32)->Arg(48)->Arg(64);
 
-void BM_DpAssignOnlyVsProcs(benchmark::State& state) {
-  const int procs = static_cast<int>(state.range(0));
-  const Workload w = ChainFor(3, procs);
-  const Evaluator eval(w.chain, procs, w.machine.node_memory_bytes);
-  MapperOptions options;
-  options.allow_clustering = false;
-  DpMapper mapper(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mapper.Map(eval, procs).throughput);
+int Run() {
+  std::printf("Algorithm runtime scaling (best of %d)\n\n", kReps);
+  TextTable table({"Series", "k", "P", "Best us", "Work"});
+
+  const DpMapper dp;
+  for (const int procs : {16, 32, 48, 64}) {
+    TimeMapper(table, "DP vs P", dp, 3, procs);
   }
-}
-BENCHMARK(BM_DpAssignOnlyVsProcs)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
-
-void BM_GreedyMapperVsProcs(benchmark::State& state) {
-  const int procs = static_cast<int>(state.range(0));
-  const Workload w = ChainFor(3, procs);
-  const Evaluator eval(w.chain, procs, w.machine.node_memory_bytes);
-  GreedyMapper mapper;
-  std::uint64_t work = 0;
-  for (auto _ : state) {
-    const MapResult r = mapper.Map(eval, procs);
-    work = r.work;
-    benchmark::DoNotOptimize(r.throughput);
+  table.AddSeparator();
+  MapperOptions assign_only;
+  assign_only.allow_clustering = false;
+  const DpMapper dp_assign(assign_only);
+  for (const int procs : {16, 32, 64, 96}) {
+    TimeMapper(table, "DP assign-only vs P", dp_assign, 3, procs);
   }
-  state.counters["greedy_steps"] = static_cast<double>(work);
-}
-BENCHMARK(BM_GreedyMapperVsProcs)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(512);
-
-void BM_DpMapperVsTasks(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const Workload w = ChainFor(k, 24);
-  const Evaluator eval(w.chain, 24, w.machine.node_memory_bytes);
-  DpMapper mapper;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mapper.Map(eval, 24).throughput);
+  table.AddSeparator();
+  const GreedyMapper greedy;
+  for (const int procs : {16, 64, 256, 512}) {
+    TimeMapper(table, "Greedy vs P", greedy, 3, procs);
   }
-}
-BENCHMARK(BM_DpMapperVsTasks)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_GreedyMapperVsTasks(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const Workload w = ChainFor(k, 24);
-  const Evaluator eval(w.chain, 24, w.machine.node_memory_bytes);
-  GreedyMapper mapper;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mapper.Map(eval, 24).throughput);
+  table.AddSeparator();
+  for (const int k : {2, 4, 6, 8}) TimeMapper(table, "DP vs k", dp, k, 24);
+  table.AddSeparator();
+  for (const int k : {2, 4, 8, 12}) {
+    TimeMapper(table, "Greedy vs k", greedy, k, 24);
   }
-}
-BENCHMARK(BM_GreedyMapperVsTasks)->Arg(2)->Arg(4)->Arg(8)->Arg(12);
+  std::fputs(table.Render().c_str(), stdout);
 
-void BM_EvaluatorThroughput(benchmark::State& state) {
+  // One Throughput call is tens of nanoseconds, so each rep times a batch.
+  constexpr int kBatch = 100000;
   const Workload w = ChainFor(4, 64);
   const Evaluator eval(w.chain, 64, w.machine.node_memory_bytes);
   Mapping m;
   m.modules.push_back(ModuleAssignment{0, 1, 4, 8});
   m.modules.push_back(ModuleAssignment{2, 3, 2, 16});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.Throughput(m));
+  volatile double sink = 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double start = Now();
+    for (int i = 0; i < kBatch; ++i) sink = eval.Throughput(m);
+    best = std::min(best, (Now() - start) / kBatch);
   }
+  std::printf("\nEvaluator::Throughput (k=4, P=64, 2 modules): %.1f ns"
+              " per call (%.2f data sets/s)\n",
+              best * 1e9, static_cast<double>(sink));
+  return 0;
 }
-BENCHMARK(BM_EvaluatorThroughput);
 
 }  // namespace
 }  // namespace pipemap::bench
 
-BENCHMARK_MAIN();
+int main() { return pipemap::bench::Run(); }

@@ -14,8 +14,7 @@
 // JSON (their wall times measure scheduling noise, not scaling, and
 // downstream tooling skips them). `hardware_threads` reports
 // ThreadPool::AvailableConcurrency() — the affinity-aware count the
-// mappers actually use, overridable with PIPEMAP_HARDWARE_THREADS — not
-// the raw cpuinfo count.
+// mappers use for num_threads <= 0 — not the raw cpuinfo count.
 //
 // Exit status is nonzero when any thread count changes the mapping —
 // never when a speedup is small, because measured speedup is a property
@@ -103,13 +102,9 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
   const Workload w = workloads::MakeSynthetic(spec, 20260805);
 
   const int avail = ThreadPool::AvailableConcurrency();
-  // A PIPEMAP_HARDWARE_THREADS override can claim more workers than the
-  // affinity mask grants; oversubscription is judged against the smaller
-  // of the two so the flag stays honest either way.
-  const int physical = std::min(avail, ThreadPool::HardwareConcurrency());
   std::printf("DP parallel scaling: P=%d, k=%d (host has %d available"
-              " thread%s, %d physical)\n\n",
-              procs, num_tasks, avail, avail == 1 ? "" : "s", physical);
+              " thread%s)\n\n",
+              procs, num_tasks, avail, avail == 1 ? "" : "s");
 
   // The big table pays for itself here; clustering is off so the stage
   // grid stays k blocks of (P+1)^3 states. Warm the evaluator once (its
@@ -140,7 +135,7 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
     s.minor_faults = after.ru_minflt - before.ru_minflt;
     s.table_bytes = table_bytes->Value();
     s.threads = threads;
-    s.oversubscribed = threads > physical;
+    s.oversubscribed = threads > avail;
     s.wall_s = wall;
     s.work = r.work;
     s.pruned_cells = r.pruned_cells;
@@ -183,7 +178,6 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
   jw.Key("procs").Int(procs);
   jw.Key("num_tasks").Int(num_tasks);
   jw.Key("hardware_threads").Int(avail);
-  jw.Key("physical_threads").Int(physical);
   jw.Key("identical_mappings").Bool(identical);
   jw.Key("mapping").String(samples.front().mapping);
   jw.Key("runs").BeginArray();

@@ -11,6 +11,12 @@
 namespace pipemap {
 namespace {
 
+// Theorem 2: under convexity greedy over-allocates at most two processors
+// per module, so backtracking searches a +/-2 box around its budgets.
+constexpr int kBacktrackRadius = 2;
+// Merge/split sweeps over the clustering (Section 4.2).
+constexpr int kClusteringPasses = 4;
+
 /// Smallest budget at or above the memory minimum for which a valid
 /// (feasibility-respecting) configuration exists; nullopt if none up to cap.
 ///
@@ -200,7 +206,7 @@ MapResult GreedyMapper::MapWithClustering(const Evaluator& eval,
   // Optional Theorem-2 backtracking: exhaustive search in a +/-radius box
   // around the best greedy budgets.
   if (options_.limited_backtracking && !timed_out) {
-    int radius = options_.backtrack_radius;
+    int radius = kBacktrackRadius;
     auto combos_for = [&](int r) {
       std::uint64_t combos = 1;
       for (int i = 0; i < l; ++i) {
@@ -315,8 +321,7 @@ MapResult GreedyMapper::Map(const Evaluator& eval, int total_procs) const {
     }
   };
 
-  for (int pass = 0; pass < options_.clustering_passes && !timed_out;
-       ++pass) {
+  for (int pass = 0; pass < kClusteringPasses && !timed_out; ++pass) {
     std::optional<Clustering> improved;
     MapResult improved_result;
 

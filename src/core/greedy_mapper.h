@@ -35,16 +35,12 @@ struct GreedyOptions {
   enum class Variant { kNeighborhood, kBottleneckOnly };
   Variant variant = Variant::kNeighborhood;
 
-  /// Enables the post-pass exhaustive search within `backtrack_radius` of
-  /// the greedy assignment.
+  /// Enables the post-pass exhaustive search within +/-2 processors
+  /// (Theorem 2) of each module's greedy budget.
   bool limited_backtracking = false;
-  int backtrack_radius = 2;
   /// Safety cap on backtracking combinations; beyond it the radius is
   /// reduced (and backtracking skipped if radius 1 still exceeds it).
   std::uint64_t max_backtrack_combos = 2'000'000;
-
-  /// Maximum merge/split sweeps over the clustering.
-  int clustering_passes = 4;
 };
 
 class GreedyMapper {

@@ -176,8 +176,6 @@ bool HasAvx2() {
   return has;
 }
 
-const char* ActiveIsa() { return HasAvx2() ? "avx2" : "scalar"; }
-
 void PolyScalarRow(const double c[3], double* out, int max_p) {
 #if PIPEMAP_X86
   if (HasAvx2()) {

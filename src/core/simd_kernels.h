@@ -18,10 +18,6 @@ namespace pipemap::simd {
 /// True when the CPU supports AVX2 (probed once per process).
 bool HasAvx2();
 
-/// Name of the dispatched instruction set ("avx2" or "scalar"), for bench
-/// and report provenance.
-const char* ActiveIsa();
-
 /// out[p] = c[0] + c[1]/p + c[2]*p for p in [1, max_p] (PolyScalarCost::
 /// Eval's exact expression order). out[0] is left untouched.
 void PolyScalarRow(const double c[3], double* out, int max_p);

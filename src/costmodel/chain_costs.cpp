@@ -96,13 +96,6 @@ MemorySpec ChainCostModel::ModuleMemory(int first, int last) const {
   return total;
 }
 
-ChainCostModel ChainCostModel::WithoutCommunication() const {
-  ChainCostModel copy(*this);
-  for (auto& c : copy.icom_) c = std::make_unique<ZeroScalarCost>();
-  for (auto& c : copy.ecom_) c = std::make_unique<ZeroPairCost>();
-  return copy;
-}
-
 void ChainCostModel::CheckTask(int task) const {
   PIPEMAP_CHECK(task >= 0 && task < num_tasks(), "task index out of range");
 }

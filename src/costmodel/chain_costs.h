@@ -66,10 +66,6 @@ class ChainCostModel {
   /// Combined memory footprint of tasks [first, last].
   MemorySpec ModuleMemory(int first, int last) const;
 
-  /// Replaces every external-communication function with zero cost; models
-  /// the Choudhary-et-al. assumption used as an ablation baseline.
-  ChainCostModel WithoutCommunication() const;
-
  private:
   void CheckTask(int task) const;
   void CheckEdge(int edge) const;

@@ -323,13 +323,10 @@ class FlightPublisher {
 
 }  // namespace
 
-MappingEngine::MappingEngine(EngineConfig config)
-    : config_(config),
-      cache_(config.cache_capacity, config.cache_shards) {
-  if (!config_.cache_dir.empty()) {
+MappingEngine::MappingEngine(EngineConfig config) {
+  if (!config.cache_dir.empty()) {
     DiskPersistOptions persist;
-    persist.dir = config_.cache_dir;
-    persist.max_bytes = config_.cache_dir_max_bytes;
+    persist.dir = config.cache_dir;
     cache_.EnablePersistence(persist);
   }
 }

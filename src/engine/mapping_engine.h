@@ -177,15 +177,10 @@ struct MapResponse {
 };
 
 struct EngineConfig {
-  std::size_t cache_capacity = 256;
-  std::size_t cache_shards = 8;
   /// When non-empty, the solution cache persists to this directory
   /// (engine/cache_persist.h): inserts spill write-behind, misses probe
   /// disk lazily, and a restarted process starts warm.
   std::string cache_dir;
-  /// Disk budget for the persistent tier; 0 = unbounded. Crossing it
-  /// evicts oldest entries (engine/cache_persist.h).
-  std::uint64_t cache_dir_max_bytes = 0;
 };
 
 class MappingEngine {
@@ -221,7 +216,6 @@ class MappingEngine {
 
   SolutionCache& cache() { return cache_; }
   const SolutionCache& cache() const { return cache_; }
-  const EngineConfig& config() const { return config_; }
   /// Single-flight dedup activity (engine.singleflight.* counters'
   /// aggregate twin, available when metrics are disabled).
   SingleFlightStats single_flight_stats() const {
@@ -233,7 +227,6 @@ class MappingEngine {
   static MappingEngine& Shared();
 
  private:
-  EngineConfig config_;
   SolutionCache cache_;
   /// Leader-election table collapsing concurrent identical solves
   /// (engine/single_flight.h); consulted only after a cache miss on

@@ -9,7 +9,6 @@
 
 #include "io/serialize.h"
 #include "support/error.h"
-#include "support/rng.h"
 
 namespace pipemap {
 
@@ -158,55 +157,6 @@ void FaultPlan::Validate(int num_modules) const {
       }
     }
   }
-}
-
-FaultPlan GenerateFaultPlan(const FaultGeneratorSpec& spec) {
-  PIPEMAP_CHECK(spec.num_modules >= 1,
-                "GenerateFaultPlan: need at least one module");
-  PIPEMAP_CHECK(spec.num_events >= 0,
-                "GenerateFaultPlan: num_events must be non-negative");
-  PIPEMAP_CHECK(spec.max_instances >= 1,
-                "GenerateFaultPlan: max_instances must be >= 1");
-  PIPEMAP_CHECK(spec.horizon_s > 0.0 && std::isfinite(spec.horizon_s),
-                "GenerateFaultPlan: horizon must be finite and positive");
-  double crash_w = std::max(spec.crash_weight, 0.0);
-  double slow_w = std::max(spec.slowdown_weight, 0.0);
-  // A one-module chain has no edges to degrade.
-  double link_w = spec.num_modules >= 2 ? std::max(spec.link_weight, 0.0) : 0.0;
-  const double total_w = crash_w + slow_w + link_w;
-  PIPEMAP_CHECK(total_w > 0.0,
-                "GenerateFaultPlan: at least one kind weight must be positive");
-
-  Rng rng(spec.seed);
-  FaultPlan plan;
-  plan.events.reserve(static_cast<std::size_t>(spec.num_events));
-  for (int i = 0; i < spec.num_events; ++i) {
-    FaultEvent e;
-    const double pick = rng.Uniform(0.0, total_w);
-    if (pick < crash_w) {
-      e.kind = FaultKind::kCrash;
-    } else if (pick < crash_w + slow_w) {
-      e.kind = FaultKind::kSlowdown;
-    } else {
-      e.kind = FaultKind::kLinkDegrade;
-    }
-    e.time_s = rng.Uniform(0.0, spec.horizon_s);
-    if (e.kind == FaultKind::kLinkDegrade) {
-      e.edge = rng.UniformInt(0, spec.num_modules - 2);
-    } else {
-      e.module = rng.UniformInt(0, spec.num_modules - 1);
-    }
-    if (e.kind == FaultKind::kCrash) {
-      e.instance = rng.UniformInt(0, spec.max_instances - 1);
-    } else {
-      e.duration_s = rng.Uniform(spec.min_duration_s, spec.max_duration_s);
-      e.factor = rng.Uniform(spec.min_factor, spec.max_factor);
-    }
-    plan.events.push_back(e);
-  }
-  SortByTime(plan);
-  plan.Validate(spec.num_modules);
-  return plan;
 }
 
 std::string SerializeFaultPlan(const FaultPlan& plan) {

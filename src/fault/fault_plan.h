@@ -10,7 +10,6 @@
 // Reliability of Pipeline Workflow Applications", PAPERS.md).
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -90,30 +89,6 @@ struct FaultImpact {
   int link_events = 0;
   int reroutes = 0;
 };
-
-/// Deterministic seeded fault generator: the same spec always produces the
-/// same plan (support/rng.h), so fault benches and tests are reproducible.
-struct FaultGeneratorSpec {
-  std::uint64_t seed = 0;
-  int num_modules = 1;
-  /// Instances a generated crash may target: [0, max_instances).
-  int max_instances = 1;
-  int num_events = 1;
-  /// Event times are drawn uniformly from [0, horizon_s).
-  double horizon_s = 10.0;
-  /// Relative odds of each kind. Link events need >= 2 modules.
-  double crash_weight = 1.0;
-  double slowdown_weight = 1.0;
-  double link_weight = 1.0;
-  /// Slowdown/link window lengths, uniform in [min, max].
-  double min_duration_s = 0.5;
-  double max_duration_s = 2.0;
-  /// Slowdown/link factors, uniform in [min, max].
-  double min_factor = 1.5;
-  double max_factor = 4.0;
-};
-
-FaultPlan GenerateFaultPlan(const FaultGeneratorSpec& spec);
 
 /// Canonical text form ("pipemap-faults v1"), round-trips exactly.
 std::string SerializeFaultPlan(const FaultPlan& plan);

@@ -16,6 +16,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Remap retry schedule: a timed-out attempt retries with twice the
+// previous deadline, up to kRemapAttempts attempts in all.
+constexpr int kRemapAttempts = 3;
+constexpr double kDeadlineGrowth = 2.0;
+
 double Seconds(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
@@ -100,9 +105,7 @@ RepairOutcome RepairEngine::Repair(const RepairRequest& request) const {
   }
 
   const int lost_procs = request.failed_instances * victim.procs_per_instance;
-  const int surviving = request.surviving_procs > 0
-                            ? request.surviving_procs
-                            : request.machine.total_procs() - lost_procs;
+  const int surviving = request.machine.total_procs() - lost_procs;
   if (surviving < 1) {
     throw Infeasible("Repair: no surviving processors");
   }
@@ -157,17 +160,15 @@ RepairOutcome RepairEngine::Repair(const RepairRequest& request) const {
     mr.options = request.options;
     mr.use_cache = request.use_cache;
 
-    const int attempts_allowed = std::max(request.max_attempts, 1);
     MapResponse response;
-    for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
+    for (int attempt = 0; attempt < kRemapAttempts; ++attempt) {
       // A non-binding deadline (0/inf — see RepairRequest) stays
       // non-binding: growing it would just produce another unlimited
       // attempt, and 0 * growth must not turn into a binding microbudget.
       mr.time_budget_s =
           Deadline::HasBudget(request.solver_deadline_s)
               ? request.solver_deadline_s *
-                    std::pow(request.deadline_growth,
-                             static_cast<double>(attempt))
+                    std::pow(kDeadlineGrowth, static_cast<double>(attempt))
               : 0.0;
       response = engine_->Map(mr);
       ++outcome.attempts;

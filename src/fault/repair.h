@@ -22,11 +22,10 @@
 //     even the remap cannot reach the floor.
 //
 // Remap solves run under the cooperative deadline machinery
-// (support/deadline.h): each attempt gets `solver_deadline_s` (grown by
-// `deadline_growth` per retry), and a timed-out attempt retries at once,
-// up to `max_attempts` times. The last attempt's incumbent is kept when
-// every attempt times out — repair always returns a valid mapping on the
-// survivors or throws.
+// (support/deadline.h): each attempt gets `solver_deadline_s`, doubled per
+// retry, and a timed-out attempt retries at once, up to three attempts.
+// The last attempt's incumbent is kept when every attempt times out —
+// repair always returns a valid mapping on the survivors or throws.
 #pragma once
 
 #include <string>
@@ -59,9 +58,6 @@ struct RepairRequest {
   /// Module whose instances crashed and how many of them.
   int failed_module = 0;
   int failed_instances = 1;
-  /// Processors still alive; <= 0 derives machine.total_procs() minus the
-  /// processors of the lost instances.
-  int surviving_procs = 0;
   RepairPolicy policy = RepairPolicy::kFullRemap;
   /// Minimum acceptable post/pre throughput ratio for kThroughputFloor.
   double throughput_floor_fraction = 0.5;
@@ -69,9 +65,6 @@ struct RepairRequest {
   /// positive and finite (Deadline::HasBudget): 0, negative, and infinity
   /// all mean "no deadline", matching MapRequest::time_budget_s.
   double solver_deadline_s = 0.0;
-  /// Retry loop for timed-out remap attempts.
-  int max_attempts = 3;
-  double deadline_growth = 2.0;
   /// Solver options for remap solves (threads, replication policy, ...).
   MapperOptions options;
   /// Consult/populate the engine's solution cache for remap solves.

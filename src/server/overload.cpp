@@ -6,6 +6,13 @@
 
 namespace pipemap::server {
 
+namespace {
+
+// Base of the retry_after_ms hint on shed responses.
+constexpr double kRetryAfterBaseMs = 100.0;
+
+}  // namespace
+
 OverloadController::OverloadController(OverloadConfig config)
     : config_(config) {}
 
@@ -42,7 +49,7 @@ bool OverloadController::ShouldShed(std::size_t queue_depth,
                                     double* retry_after_ms) {
   if (!config_.enabled) return false;
   bool shed = false;
-  double hint_ms = config_.retry_after_base_ms;
+  double hint_ms = kRetryAfterBaseMs;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const bool depth_signal =

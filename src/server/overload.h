@@ -53,8 +53,6 @@ struct OverloadConfig {
   double recover_after_s = 5.0;
   /// Solver deadline for degraded solves.
   double degraded_deadline_s = 0.05;
-  /// Base of the retry_after_ms hint on shed responses.
-  double retry_after_base_ms = 100.0;
   /// Master switch: false restores the pre-overload-layer behavior
   /// (admit until full, never degrade).
   bool enabled = true;

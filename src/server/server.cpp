@@ -350,6 +350,22 @@ void PipemapServer::AcceptLoop() {
   }
 }
 
+std::string PipemapServer::Refuse(std::uint64_t ServerCounters::*counter,
+                                  const char* code, std::string response,
+                                  std::uint64_t trace_id,
+                                  const std::string& op, std::size_t bytes_in,
+                                  double total_s) {
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++(counters_.*counter);
+  }
+  RequestOutcome outcome;
+  outcome.status = code;
+  FinishRequest(trace_id, op, outcome, bytes_in, response.size(), 0.0, 0.0,
+                total_s);
+  return response;
+}
+
 void PipemapServer::ConnectionLoop(Connection* conn) {
   if (config_.idle_timeout_s > 0.0) {
     // Slowloris guard: a receive timeout turns "peer drips bytes or
@@ -375,19 +391,13 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
       PIPEMAP_COUNTER_ADD("server.idle_timeouts", 1);
       break;  // stalled peer: free the slot
     } catch (const FrameTooLarge& e) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.parse_errors;
-      }
       // The frame never parsed, so the client's trace_id (if any) is
       // unreadable; a generated id still makes the failure joinable
       // between the response and the access log.
       const std::uint64_t tid = GenerateTraceId();
-      response = ErrorJson("frame_too_large", e.what(), tid);
-      RequestOutcome outcome;
-      outcome.status = "frame_too_large";
-      FinishRequest(tid, "unknown", outcome, 0, response.size(), 0.0, 0.0,
-                    0.0);
+      response = Refuse(&ServerCounters::parse_errors, "frame_too_large",
+                        ErrorJson("frame_too_large", e.what(), tid), tid,
+                        "unknown", 0, 0.0);
     } catch (const std::exception&) {
       break;  // mid-frame EOF or socket error: the stream is gone
     }
@@ -414,17 +424,11 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
         job->bytes_in = payload.size();
         if (Tracer::Enabled()) job->admitted_ns = Tracer::NowNs();
       } catch (const std::exception& e) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mu_);
-          ++counters_.parse_errors;
-        }
         const std::uint64_t tid = GenerateTraceId();
-        response = ErrorJson("invalid_argument", e.what(), tid);
-        RequestOutcome outcome;
-        outcome.status = "invalid_argument";
-        FinishRequest(tid, "unknown", outcome, payload.size(),
-                      response.size(), 0.0, 0.0,
-                      SecondsBetween(received, Clock::now()));
+        response = Refuse(&ServerCounters::parse_errors, "invalid_argument",
+                          ErrorJson("invalid_argument", e.what(), tid), tid,
+                          "unknown", payload.size(),
+                          SecondsBetween(received, Clock::now()));
       }
 
       if (job != nullptr) {
@@ -466,43 +470,27 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
             ++counters_.accepted;
           }
           response = future.get();
-        } else if (shed) {
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.shed;
-          }
-          response = OverloadedJson(retry_after_ms, job->request.trace_id);
-          RequestOutcome outcome;
-          outcome.status = "overloaded";
-          FinishRequest(job->request.trace_id, job->request.op, outcome,
-                        job->bytes_in, response.size(), 0.0, 0.0,
-                        SecondsBetween(received, Clock::now()));
-        } else if (drained) {
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.drained;
-          }
-          response = ErrorJson("draining",
-                               "server is draining; request refused",
-                               job->request.trace_id);
-          RequestOutcome outcome;
-          outcome.status = "draining";
-          FinishRequest(job->request.trace_id, job->request.op, outcome,
-                        job->bytes_in, response.size(), 0.0, 0.0,
-                        SecondsBetween(received, Clock::now()));
         } else {
-          PIPEMAP_COUNTER_ADD("server.rejected", 1);
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.rejected;
+          const std::uint64_t tid = job->request.trace_id;
+          const std::string& op = job->request.op;
+          const double total_s = SecondsBetween(received, Clock::now());
+          if (shed) {
+            response = Refuse(&ServerCounters::shed, "overloaded",
+                              OverloadedJson(retry_after_ms, tid), tid, op,
+                              job->bytes_in, total_s);
+          } else if (drained) {
+            response = Refuse(
+                &ServerCounters::drained, "draining",
+                ErrorJson("draining", "server is draining; request refused",
+                          tid),
+                tid, op, job->bytes_in, total_s);
+          } else {
+            PIPEMAP_COUNTER_ADD("server.rejected", 1);
+            response = Refuse(
+                &ServerCounters::rejected, "rejected",
+                ErrorJson("rejected", "admission queue is full", tid), tid,
+                op, job->bytes_in, total_s);
           }
-          response = ErrorJson("rejected", "admission queue is full",
-                               job->request.trace_id);
-          RequestOutcome outcome;
-          outcome.status = "rejected";
-          FinishRequest(job->request.trace_id, job->request.op, outcome,
-                        job->bytes_in, response.size(), 0.0, 0.0,
-                        SecondsBetween(received, Clock::now()));
         }
       }
     }
@@ -681,6 +669,7 @@ struct PipemapServer::Solved {
   /// outlives Solve.
   std::unique_ptr<const TaskChain> chain;
   std::unique_ptr<const Evaluator> eval;
+  MapObjective objective = MapObjective::kThroughput;
   MapResponse response;
   Mapping mapping;  // response.mapping made feasible on the machine
 };
@@ -707,6 +696,7 @@ PipemapServer::Solved PipemapServer::Solve(const ServerRequest& request,
   mr.trace_id = request.trace_id;
   ApplySolverPolicy(request.objective, request.algorithm, request.floor, &mr);
   if (outcome->degraded) ApplyBrownout(&mr);
+  solved.objective = mr.objective;
 
   // One Evaluator per request: the engine keys and solves with it, and
   // MakeFeasible and the report reuse it.
@@ -736,6 +726,14 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
                                      RequestOutcome* outcome) {
   const Solved solved = Solve(request, "map", budget_s, outcome);
   const MapResponse& response = solved.response;
+  // The numbers describe the served mapping, which MakeFeasible may have
+  // changed from the engine's; `solver` and `exact` describe the solve.
+  const Evaluator& eval = *solved.eval;
+  const double latency = eval.Latency(solved.mapping);
+  const double objective_value =
+      solved.objective == MapObjective::kThroughput
+          ? eval.BottleneckResponse(solved.mapping)
+          : latency;
 
   JsonWriter w;
   w.BeginObject();
@@ -744,9 +742,9 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   w.Key("degraded").Bool(outcome->degraded);
   w.Key("trace_id").String(FormatTraceId(request.trace_id));
   w.Key("mapping").String(SerializeMapping(solved.mapping));
-  w.Key("objective_value").Double(response.objective_value);
-  w.Key("throughput").Double(response.throughput);
-  w.Key("latency").Double(response.latency);
+  w.Key("objective_value").Double(objective_value);
+  w.Key("throughput").Double(eval.Throughput(solved.mapping));
+  w.Key("latency").Double(latency);
   w.Key("solver").String(response.solver);
   w.Key("exact").Bool(response.exact);
   w.Key("cache_hit").Bool(response.cache_hit);

@@ -243,6 +243,13 @@ class PipemapServer {
                      std::size_t bytes_out, double queue_wait_s,
                      double solve_s, double total_s);
 
+  /// Answers a request refused before any worker ran it: counts it in
+  /// `counter`, finishes it with status `code` and returns `response`.
+  std::string Refuse(std::uint64_t ServerCounters::*counter, const char* code,
+                     std::string response, std::uint64_t trace_id,
+                     const std::string& op, std::size_t bytes_in,
+                     double total_s);
+
   void ReapFinishedConnections();
 
   /// Feeds the SLO burn signal into the overload controller, throttled to

@@ -22,18 +22,6 @@ char PhaseChar(TraceEvent::Phase phase) {
   return '?';
 }
 
-const char* PhaseName(TraceEvent::Phase phase) {
-  switch (phase) {
-    case TraceEvent::Phase::kReceive:
-      return "receive";
-    case TraceEvent::Phase::kCompute:
-      return "compute";
-    case TraceEvent::Phase::kSend:
-      return "send";
-  }
-  return "phase";
-}
-
 }  // namespace
 
 std::string ExecutionTrace::RenderGantt(int width, double t0,
@@ -89,37 +77,6 @@ std::vector<TraceEvent> ExecutionTrace::InstanceTimeline(
               return a.start < b.start;
             });
   return timeline;
-}
-
-std::string ExecutionTrace::ToChromeJson() const {
-  std::ostringstream os;
-  os.precision(12);
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  auto sep = [&] {
-    os << (first ? "\n" : ",\n");
-    first = false;
-  };
-  // Label each module's row group once.
-  std::map<int, bool> seen_modules;
-  for (const TraceEvent& e : events) {
-    if (seen_modules.emplace(e.module, true).second) {
-      sep();
-      os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-         << e.module << ", \"tid\": 0, \"args\": {\"name\": \"module "
-         << e.module << "\"}}";
-    }
-  }
-  for (const TraceEvent& e : events) {
-    sep();
-    os << "{\"name\": \"" << PhaseName(e.phase)
-       << "\", \"cat\": \"sim\", \"ph\": \"X\", \"pid\": " << e.module
-       << ", \"tid\": " << e.instance << ", \"ts\": " << e.start * 1e6
-       << ", \"dur\": " << (e.end - e.start) * 1e6
-       << ", \"args\": {\"dataset\": " << e.dataset << "}}";
-  }
-  os << "\n]}\n";
-  return os.str();
 }
 
 }  // namespace pipemap

@@ -42,15 +42,6 @@ struct ExecutionTrace {
 
   /// Events of one instance, in time order.
   std::vector<TraceEvent> InstanceTimeline(int module, int instance) const;
-
-  /// Chrome trace-event JSON of the simulated timeline (load in
-  /// chrome://tracing or https://ui.perfetto.dev): one complete event
-  /// ("ph": "X") per busy interval with pid = module, tid = instance,
-  /// timestamps in microseconds of simulated time, and the data set index
-  /// under args. Emits process_name metadata per module so the viewer
-  /// labels rows "module <m>". Unlike support/tracer.h this export needs
-  /// no global collector — it serializes exactly this trace object.
-  std::string ToChromeJson() const;
 };
 
 }  // namespace pipemap

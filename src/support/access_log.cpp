@@ -11,9 +11,6 @@ AccessLogger::AccessLogger(Options options) : options_(std::move(options)) {
   if (options_.path.empty()) {
     throw InvalidArgument("AccessLogger: path must not be empty");
   }
-  if (options_.queue_capacity < 1) {
-    throw InvalidArgument("AccessLogger: queue_capacity must be >= 1");
-  }
   file_ = std::fopen(options_.path.c_str(), "ab");
   if (file_ == nullptr) {
     throw Error("AccessLogger: cannot open " + options_.path);
@@ -36,7 +33,7 @@ AccessLogger::~AccessLogger() {
 void AccessLogger::Append(std::string line) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!stop_ && queue_.size() < options_.queue_capacity) {
+    if (!stop_ && queue_.size() < kQueueCapacity) {
       queue_.push_back(std::move(line));
       ++enqueued_seq_;
     } else {

@@ -36,9 +36,10 @@ class AccessLogger {
     std::string path;
     /// Rotate when the file would grow past this many bytes.
     std::size_t max_bytes = 64u << 20;
-    /// Bounded line queue; a full queue drops (and counts) new lines.
-    std::size_t queue_capacity = 4096;
   };
+
+  /// Bounded line queue; a full queue drops (and counts) new lines.
+  static constexpr std::size_t kQueueCapacity = 4096;
 
   struct Stats {
     std::uint64_t lines_written = 0;

@@ -1,7 +1,6 @@
 #include "support/chaos.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "support/error.h"
@@ -205,13 +204,6 @@ ChaosStats ChaosInjector::stats() const {
     out.draws[s] = draw_counters_[s].load(std::memory_order_relaxed);
   }
   return out;
-}
-
-std::optional<std::string> ConfigureChaosFromEnv() {
-  const char* env = std::getenv("PIPEMAP_CHAOS");
-  if (env == nullptr || env[0] == '\0') return std::nullopt;
-  ChaosInjector::Global().Configure(ParseChaosSpec(env));
-  return std::string(env);
 }
 
 }  // namespace pipemap

@@ -9,8 +9,7 @@
 // that must survive one — zero malformed responses, no hangs, clean
 // drain (tools/chaos_smoke.py, DESIGN.md §12).
 //
-// Spec grammar (--chaos on pipemap_server, or the PIPEMAP_CHAOS
-// environment variable):
+// Spec grammar (--chaos on pipemap_server):
 //
 //   spec    := entry (',' entry)*
 //   entry   := 'seed=' uint64
@@ -48,7 +47,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -122,12 +120,5 @@ class ChaosInjector {
   std::array<std::atomic<std::uint64_t>, kChaosSeamCount> draw_counters_{};
   std::array<std::atomic<std::uint64_t>, kChaosSeamCount> injected_{};
 };
-
-/// Configures the global injector from the PIPEMAP_CHAOS environment
-/// variable when it is set and non-empty. Returns the spec text it
-/// applied, or nullopt when the variable was absent. Throws on a
-/// malformed spec — a mistyped storm must fail loudly, not silently run
-/// fault-free.
-std::optional<std::string> ConfigureChaosFromEnv();
 
 }  // namespace pipemap

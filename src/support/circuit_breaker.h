@@ -7,10 +7,10 @@
 //                 a streak of `failure_threshold` trips the breaker open;
 //   * open      — Allow() refuses instantly (the caller serves a fallback
 //                 or an error) until `cooldown_s` has elapsed;
-//   * half-open — after the cooldown, up to `half_open_probes` calls are
-//                 let through as probes. One probe success closes the
-//                 breaker and resets the streak; one probe failure slams
-//                 it open again for another cooldown.
+//   * half-open — after the cooldown, one call is let through as a
+//                 probe. Its success closes the breaker and resets the
+//                 streak; its failure slams it open again for another
+//                 cooldown.
 //
 // Used by the persistent cache tier (consecutive disk errors bypass the
 // disk tier, DESIGN.md §12) and by the server's per-op solver breakers
@@ -37,9 +37,6 @@ class CircuitBreaker {
     int failure_threshold = 5;
     /// Seconds the breaker stays open before half-open probing.
     double cooldown_s = 2.0;
-    /// Probes admitted in half-open before further calls are refused
-    /// again (their outcomes decide the next state).
-    int half_open_probes = 1;
   };
 
   struct Stats {
@@ -54,7 +51,7 @@ class CircuitBreaker {
   explicit CircuitBreaker(Config config) : config_(config) {}
 
   /// May this call proceed? Open breakers refuse (counted) until the
-  /// cooldown expires; half-open admits a bounded number of probes.
+  /// cooldown expires; half-open admits one probe.
   bool Allow() { return AllowAt(Clock::now()); }
   bool AllowAt(Clock::time_point now) {
     if (config_.failure_threshold <= 0) return true;
@@ -70,15 +67,15 @@ class CircuitBreaker {
           return false;
         }
         state_ = State::kHalfOpen;
-        probes_in_flight_ = 0;
+        probe_in_flight_ = false;
         [[fallthrough]];
       }
       case State::kHalfOpen:
-        if (probes_in_flight_ >= config_.half_open_probes) {
+        if (probe_in_flight_) {
           ++stats_.rejected;
           return false;
         }
-        ++probes_in_flight_;
+        probe_in_flight_ = true;
         return true;
     }
     return true;
@@ -92,7 +89,7 @@ class CircuitBreaker {
     consecutive_failures_ = 0;
     if (state_ == State::kHalfOpen) {
       state_ = State::kClosed;
-      probes_in_flight_ = 0;
+      probe_in_flight_ = false;
     }
   }
   void RecordFailure() { RecordFailureAt(Clock::now()); }
@@ -103,7 +100,7 @@ class CircuitBreaker {
       // A failed probe: straight back to open for another cooldown.
       state_ = State::kOpen;
       opened_at_ = now;
-      probes_in_flight_ = 0;
+      probe_in_flight_ = false;
       ++stats_.opens;
       return;
     }
@@ -141,7 +138,7 @@ class CircuitBreaker {
   mutable std::mutex mu_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
-  int probes_in_flight_ = 0;
+  bool probe_in_flight_ = false;
   Clock::time_point opened_at_{};
   Stats stats_;
 };

@@ -74,9 +74,4 @@ double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * Gaussian();
 }
 
-Rng Rng::Fork(std::uint64_t stream_id) const {
-  std::uint64_t mix = s_[0] ^ Rotl(stream_id * 0x9e3779b97f4a7c15ULL, 23);
-  return Rng(mix);
-}
-
 }  // namespace pipemap

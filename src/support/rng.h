@@ -37,10 +37,6 @@ class Rng {
   /// Gaussian with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
 
-  /// Derive an independent generator; streams for distinct `stream_id`s are
-  /// decorrelated even for small consecutive seeds.
-  Rng Fork(std::uint64_t stream_id) const;
-
  private:
   std::uint64_t s_[4];
   double cached_gaussian_ = 0.0;

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +14,6 @@
 
 #include "support/error.h"
 #include "support/metrics.h"
-#include "support/parse.h"
 #include "support/tracer.h"
 
 namespace pipemap {
@@ -172,21 +168,8 @@ int ThreadPool::HardwareConcurrency() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int ThreadPool::ParseHardwareThreadsOverride(const char* text) {
-  const std::optional<int> v = TryParseInt(text == nullptr ? "" : text);
-  if (!v || *v < 1) {
-    throw InvalidArgument(
-        "PIPEMAP_HARDWARE_THREADS must be a positive integer, got '" +
-        std::string(text == nullptr ? "" : text) + "'");
-  }
-  return std::min(*v, kMaxWorkers);
-}
-
 int ThreadPool::AvailableConcurrency() {
   static const int available = [] {
-    if (const char* env = std::getenv("PIPEMAP_HARDWARE_THREADS")) {
-      return ParseHardwareThreadsOverride(env);
-    }
 #if defined(__linux__)
     cpu_set_t mask;
     CPU_ZERO(&mask);
@@ -201,7 +184,7 @@ int ThreadPool::AvailableConcurrency() {
 }
 
 int ThreadPool::ResolveThreads(int requested) {
-  if (requested <= 0) return HardwareConcurrency();
+  if (requested <= 0) return AvailableConcurrency();
   return std::min(requested, kMaxWorkers);
 }
 

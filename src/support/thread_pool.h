@@ -61,22 +61,12 @@ class ThreadPool {
 
   /// Processors actually available to this process: the CPU affinity mask
   /// when the platform exposes one (a container or cpuset can grant fewer
-  /// CPUs than the machine has), else HardwareConcurrency. The
-  /// PIPEMAP_HARDWARE_THREADS environment variable overrides the probe —
-  /// benchmarks use it to label runs honestly on constrained hosts. A
-  /// malformed or non-positive override throws pipemap::InvalidArgument
-  /// (silently treating "4x" as 0 and ignoring it would mislabel every
-  /// number downstream). Probed once per process; floor of 1.
+  /// CPUs than the machine has), else HardwareConcurrency. Probed once per
+  /// process; floor of 1.
   static int AvailableConcurrency();
 
-  /// Parses a PIPEMAP_HARDWARE_THREADS override: a whole-token positive
-  /// integer, clamped to kMaxWorkers. Throws pipemap::InvalidArgument on
-  /// anything else ("4x", "abc", "0", "-2"). Exposed for tests;
-  /// AvailableConcurrency applies it to the environment value.
-  static int ParseHardwareThreadsOverride(const char* text);
-
   /// Maps a MapperOptions::num_threads value to a worker count:
-  /// <= 0 means hardware concurrency, anything else is clamped to
+  /// <= 0 means AvailableConcurrency, anything else is clamped to
   /// [1, kMaxWorkers].
   static int ResolveThreads(int requested);
 

@@ -85,20 +85,9 @@ TEST(EdgeCaseTest, AllTasksNonReplicable) {
   }
 }
 
-TEST(EdgeCaseTest, GreedyZeroClusteringPassesStillMaps) {
-  GreedyOptions options;
-  options.clustering_passes = 0;
-  const TaskChain chain = testing::SmallChain();
-  const Evaluator eval(chain, 12, kTestNodeMemory);
-  const MapResult r = GreedyMapper(options).Map(eval, 12);
-  // No merge/split exploration: singleton clustering.
-  EXPECT_EQ(r.mapping.num_modules(), 3);
-}
-
 TEST(EdgeCaseTest, GreedyBacktrackingComboCapReducesRadius) {
   GreedyOptions options;
   options.limited_backtracking = true;
-  options.backtrack_radius = 2;
   options.max_backtrack_combos = 3;  // forces radius reduction to zero
   const TaskChain chain = testing::SmallChain();
   const Evaluator eval(chain, 12, kTestNodeMemory);

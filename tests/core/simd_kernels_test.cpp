@@ -142,14 +142,5 @@ TEST(SimdKernelsTest, UpdateBestOverTargetsMatchesReference) {
   }
 }
 
-TEST(SimdKernelsTest, ActiveIsaIsConsistentWithProbe) {
-  const std::string isa = simd::ActiveIsa();
-  if (simd::HasAvx2()) {
-    EXPECT_EQ(isa, "avx2");
-  } else {
-    EXPECT_EQ(isa, "scalar");
-  }
-}
-
 }  // namespace
 }  // namespace pipemap

@@ -93,16 +93,6 @@ TEST(ChainCostModelTest, SelfAssignmentIsSafe) {
   EXPECT_DOUBLE_EQ(m.Exec(0, 1), 11.0);
 }
 
-TEST(ChainCostModelTest, WithoutCommunicationZeroesEdgesOnly) {
-  const ChainCostModel m = ThreeTaskModel();
-  const ChainCostModel quiet = m.WithoutCommunication();
-  EXPECT_DOUBLE_EQ(quiet.ICom(0, 4), 0.0);
-  EXPECT_DOUBLE_EQ(quiet.ECom(1, 2, 2), 0.0);
-  EXPECT_DOUBLE_EQ(quiet.Exec(1, 4), m.Exec(1, 4));
-  // The original is untouched.
-  EXPECT_GT(m.ECom(0, 2, 2), 0.0);
-}
-
 TEST(ChainCostModelTest, IndexValidation) {
   const ChainCostModel m = ThreeTaskModel();
   EXPECT_THROW(m.Exec(3, 1), InvalidArgument);

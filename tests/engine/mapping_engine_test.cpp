@@ -429,22 +429,28 @@ TEST(MappingEngineTest, ExplicitDeadlineOptionTakesPrecedence) {
 }
 
 TEST(MappingEngineTest, CacheEvictsUnderPressure) {
-  EngineConfig config;
-  config.cache_capacity = 2;
-  config.cache_shards = 1;
-  MappingEngine engine(config);
+  // More distinct requests than the engine's cache holds (SolutionCache's
+  // 256 entries in 8 shards): every solve is inserted, and the overflow
+  // is evicted.
+  MappingEngine engine;
   const TaskChain chain = ThreeTaskChain();
+  MachineConfig machine = SmallMachine();
+  machine.grid_rows = 20;
+  machine.grid_cols = 20;
 
-  MapRequest request = RequestFor(chain, SmallMachine());
+  MapRequest request = RequestFor(chain, machine);
   request.solver = SolverPolicy::kGreedy;
-  for (const int procs : {4, 6, 8, 10}) {
-    request.total_procs = procs;
+  constexpr std::size_t kRequests = 300;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    request.total_procs = 4 + static_cast<int>(i);
     engine.Map(request);
   }
   const SolutionCacheStats stats = engine.cache().stats();
-  EXPECT_EQ(stats.inserts, 4u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.capacity, 256u);
+  EXPECT_EQ(stats.inserts, kRequests);
+  EXPECT_LE(stats.entries, stats.capacity);
+  EXPECT_GE(stats.evictions, kRequests - stats.capacity);
+  EXPECT_EQ(stats.entries + stats.evictions, stats.inserts);
 }
 
 TEST(MappingEngineTest, FrontierMatchesDirectSweep) {

@@ -1,5 +1,5 @@
-// FaultPlan tests: query semantics, deterministic generation, the text
-// format round-trip, and the inline spec grammar.
+// FaultPlan tests: query semantics, the text format round-trip, and the
+// inline spec grammar.
 #include "fault/fault_plan.h"
 
 #include <gtest/gtest.h>
@@ -84,44 +84,25 @@ TEST(FaultPlanTest, ValidateRejectsBadEvents) {
   EXPECT_NO_THROW(plan.Validate(3));
 }
 
-TEST(FaultPlanTest, GeneratorIsDeterministicPerSeed) {
-  FaultGeneratorSpec spec;
-  spec.seed = 1234;
-  spec.num_modules = 4;
-  spec.num_events = 16;
-  const FaultPlan a = GenerateFaultPlan(spec);
-  const FaultPlan b = GenerateFaultPlan(spec);
-  ASSERT_EQ(a.events.size(), 16u);
-  EXPECT_EQ(SerializeFaultPlan(a), SerializeFaultPlan(b));
-
-  spec.seed = 1235;
-  const FaultPlan c = GenerateFaultPlan(spec);
-  EXPECT_NE(SerializeFaultPlan(a), SerializeFaultPlan(c));
-}
-
-TEST(FaultPlanTest, GeneratedEventsAreSortedAndInHorizon) {
-  FaultGeneratorSpec spec;
-  spec.seed = 7;
-  spec.num_modules = 3;
-  spec.num_events = 32;
-  spec.horizon_s = 5.0;
-  const FaultPlan plan = GenerateFaultPlan(spec);
-  double prev = 0.0;
-  for (const FaultEvent& e : plan.events) {
-    EXPECT_GE(e.time_s, prev);
-    EXPECT_LT(e.time_s, spec.horizon_s);
-    prev = e.time_s;
-  }
-}
-
 TEST(FaultPlanTest, SerializeParseRoundTrips) {
-  FaultGeneratorSpec spec;
-  spec.seed = 99;
-  spec.num_modules = 5;
-  spec.num_events = 10;
-  const FaultPlan plan = GenerateFaultPlan(spec);
+  FaultPlan plan;
+  plan.events.push_back(
+      FaultEvent{FaultKind::kSlowdown, 0.25, 1.5, 3, -1, 0, 2.75});
+  plan.events.push_back(FaultEvent{FaultKind::kCrash, 1.0 / 3.0,
+                                   std::numeric_limits<double>::infinity(),
+                                   /*module=*/4, /*instance=*/2, 0, 1.0});
+  plan.events.push_back(
+      FaultEvent{FaultKind::kLinkDegrade, 2.0, 0.1, 0, -1, /*edge=*/3, 1.125});
+  plan.Validate(5);
   const std::string text = SerializeFaultPlan(plan);
   const FaultPlan parsed = ParseFaultPlan(text);
+  ASSERT_EQ(parsed.events.size(), 3u);
+  EXPECT_EQ(parsed.CountKind(FaultKind::kCrash), 1);
+  EXPECT_EQ(parsed.CountKind(FaultKind::kSlowdown), 1);
+  EXPECT_EQ(parsed.CountKind(FaultKind::kLinkDegrade), 1);
+  EXPECT_EQ(parsed.events[1].time_s, 1.0 / 3.0);
+  EXPECT_EQ(parsed.events[1].instance, 2);
+  EXPECT_EQ(parsed.events[2].edge, 3);
   EXPECT_EQ(SerializeFaultPlan(parsed), text);
 }
 

@@ -204,11 +204,9 @@ TEST(RepairEngineTest, TimedOutRepairStillReturnsValidMapping) {
   request.failed_instances = 1;
   request.policy = RepairPolicy::kFullRemap;
   request.use_cache = false;
-  request.solver_deadline_s = 1e-9;
-  request.deadline_growth = 1.0;  // keep every attempt hopeless
-  request.max_attempts = 2;
+  request.solver_deadline_s = 1e-9;  // 1, 2 and 4 ns: every attempt hopeless
   const RepairOutcome outcome = RepairEngine(&f.engine).Repair(request);
-  EXPECT_EQ(outcome.attempts, 2);
+  EXPECT_EQ(outcome.attempts, 3);
   EXPECT_TRUE(outcome.timed_out);
   EXPECT_TRUE(outcome.mapping.IsValidFor(f.workload.chain.size()));
   EXPECT_GT(outcome.post_fault_throughput, 0.0);

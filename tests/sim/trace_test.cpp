@@ -4,7 +4,6 @@
 
 #include "sim/pipeline_sim.h"
 #include "support/error.h"
-#include "../json_util.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -153,41 +152,6 @@ TEST(GanttTest, InvalidArgumentsThrow) {
   trace.makespan = 1.0;
   EXPECT_THROW(trace.RenderGantt(2), InvalidArgument);
   EXPECT_THROW(trace.RenderGantt(40, 1.0, 1.0), InvalidArgument);
-}
-
-TEST(ChromeJsonTest, ExportsValidTraceEventJson) {
-  const TaskChain chain = TwoTaskChain();
-  const SimResult result = TracedRun(chain, TwoSingletons(), 3);
-  const std::string json = result.trace->ToChromeJson();
-  EXPECT_TRUE(testing::IsValidJson(json)) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  // One process_name metadata record per module.
-  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"module 0\""), std::string::npos);
-  EXPECT_NE(json.find("\"module 1\""), std::string::npos);
-  // Spans carry the phase name and the data-set index.
-  EXPECT_NE(json.find("\"compute\""), std::string::npos);
-  EXPECT_NE(json.find("\"send\""), std::string::npos);
-  EXPECT_NE(json.find("\"receive\""), std::string::npos);
-  EXPECT_NE(json.find("\"dataset\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-}
-
-TEST(ChromeJsonTest, TimesAreMicrosecondsOfSimulatedTime) {
-  // First compute of m0 spans [0, 1] s => ts 0, dur 1e6 us.
-  const TaskChain chain = TwoTaskChain();
-  const SimResult result = TracedRun(chain, TwoSingletons(), 1);
-  const std::string json = result.trace->ToChromeJson();
-  EXPECT_NE(json.find("\"dur\": 1000000"), std::string::npos) << json;
-  // The edge transfer lasts 0.5 s => 500000 us.
-  EXPECT_NE(json.find("\"dur\": 500000"), std::string::npos) << json;
-}
-
-TEST(ChromeJsonTest, EmptyTraceIsStillValidJson) {
-  const ExecutionTrace trace;
-  const std::string json = trace.ToChromeJson();
-  EXPECT_TRUE(testing::IsValidJson(json)) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(TraceTest, NotCollectedByDefault) {

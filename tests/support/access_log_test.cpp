@@ -104,7 +104,6 @@ TEST(AccessLogTest, FullQueueDropsAndCountsInsteadOfBlocking) {
   TempLogPath path("drop");
   AccessLogger::Options options;
   options.path = path.str();
-  options.queue_capacity = 4;
   AccessLogger log(options);
   // Many more lines than the queue holds, appended faster than any disk
   // could drain: some must drop, none may block, and the accounting must
@@ -122,10 +121,10 @@ TEST(AccessLogTest, ConcurrentAppendersLoseNothingWithRoomyQueue) {
   TempLogPath path("mt");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
+  static_assert(kThreads * kPerThread <= AccessLogger::kQueueCapacity);
   {
     AccessLogger::Options options;
     options.path = path.str();
-    options.queue_capacity = kThreads * kPerThread;
     AccessLogger log(options);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -147,15 +146,6 @@ TEST(AccessLogTest, InvalidOptionsThrow) {
   EXPECT_THROW(
       {
         AccessLogger::Options options;  // empty path
-        AccessLogger log(options);
-      },
-      InvalidArgument);
-  const TempLogPath zero("zero");
-  EXPECT_THROW(
-      {
-        AccessLogger::Options options;
-        options.path = zero.str();
-        options.queue_capacity = 0;
         AccessLogger log(options);
       },
       InvalidArgument);

@@ -24,7 +24,6 @@ CircuitBreaker::Config SmallConfig() {
   CircuitBreaker::Config config;
   config.failure_threshold = 3;
   config.cooldown_s = 2.0;
-  config.half_open_probes = 1;
   return config;
 }
 
@@ -76,16 +75,6 @@ TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
   EXPECT_FALSE(breaker.AllowAt(At(4.5)));
   EXPECT_TRUE(breaker.AllowAt(At(4.7)));  // 2.6 + 2.0 elapsed
   EXPECT_EQ(breaker.stats().opens, 2u);
-}
-
-TEST(CircuitBreakerTest, MultipleProbesWhenConfigured) {
-  CircuitBreaker::Config config = SmallConfig();
-  config.half_open_probes = 2;
-  CircuitBreaker breaker(config);
-  for (int i = 0; i < 3; ++i) breaker.RecordFailureAt(At(0.0));
-  EXPECT_TRUE(breaker.AllowAt(At(2.5)));
-  EXPECT_TRUE(breaker.AllowAt(At(2.5)));
-  EXPECT_FALSE(breaker.AllowAt(At(2.5)));
 }
 
 TEST(CircuitBreakerTest, NonPositiveThresholdDisablesEntirely) {

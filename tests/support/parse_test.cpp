@@ -1,11 +1,7 @@
-// Checked parsing at trust boundaries: whole-token or refusal, and the
-// PIPEMAP_HARDWARE_THREADS override failing loudly instead of silently
-// degrading to atoi-garbage.
+// Checked parsing at trust boundaries: whole-token or refusal.
 #include "support/parse.h"
 
 #include "gtest/gtest.h"
-#include "support/error.h"
-#include "support/thread_pool.h"
 
 namespace pipemap {
 namespace {
@@ -50,28 +46,6 @@ TEST(ParseTest, DoubleRejectsGarbageOverflowAndNonFinite) {
   EXPECT_FALSE(TryParseDouble("0x1p3"));   // decimal only
   EXPECT_FALSE(TryParseDouble("2e-324"));  // rounds to zero
   EXPECT_FALSE(TryParseDouble(" 0.5"));
-}
-
-TEST(ParseTest, HardwareThreadsOverrideParsesOrThrows) {
-  EXPECT_EQ(ThreadPool::ParseHardwareThreadsOverride("4"), 4);
-  EXPECT_EQ(ThreadPool::ParseHardwareThreadsOverride("1"), 1);
-  // Clamped, never above the pool's worker cap.
-  EXPECT_EQ(ThreadPool::ParseHardwareThreadsOverride("100000"),
-            ThreadPool::kMaxWorkers);
-  // The PR-7 bug: atoi turned these into 0 and silently fell through to
-  // the affinity probe, mislabeling every benchmark downstream.
-  EXPECT_THROW(ThreadPool::ParseHardwareThreadsOverride("4x"),
-               InvalidArgument);
-  EXPECT_THROW(ThreadPool::ParseHardwareThreadsOverride("abc"),
-               InvalidArgument);
-  EXPECT_THROW(ThreadPool::ParseHardwareThreadsOverride("0"),
-               InvalidArgument);
-  EXPECT_THROW(ThreadPool::ParseHardwareThreadsOverride("-2"),
-               InvalidArgument);
-  EXPECT_THROW(ThreadPool::ParseHardwareThreadsOverride(""),
-               InvalidArgument);
-  EXPECT_THROW(ThreadPool::ParseHardwareThreadsOverride(nullptr),
-               InvalidArgument);
 }
 
 }  // namespace

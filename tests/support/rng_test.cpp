@@ -93,26 +93,5 @@ TEST(RngTest, GaussianWithParameters) {
   EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 
-TEST(RngTest, ForkProducesDecorrelatedStreams) {
-  Rng base(42);
-  Rng f1 = base.Fork(1);
-  Rng f2 = base.Fork(2);
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (f1.NextU64() == f2.NextU64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(RngTest, ForkIsDeterministic) {
-  Rng a(42);
-  Rng b(42);
-  Rng fa = a.Fork(5);
-  Rng fb = b.Fork(5);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(fa.NextU64(), fb.NextU64());
-  }
-}
-
 }  // namespace
 }  // namespace pipemap

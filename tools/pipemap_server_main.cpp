@@ -85,9 +85,7 @@ int Usage() {
       "--idle-timeout-s reaps connections whose peer stalls mid-frame.\n"
       "--chaos arms the deterministic fault injector (seed=N,\n"
       "seam=prob[:Nms] entries; seams: read_delay, read_trunc,\n"
-      "conn_drop, solver_slow, persist_write_fail, persist_read_fail).\n"
-      "The PIPEMAP_CHAOS environment variable is an alternative spec\n"
-      "source; --chaos wins when both are set.\n");
+      "conn_drop, solver_slow, persist_write_fail, persist_read_fail).\n");
   return 2;
 }
 
@@ -205,10 +203,6 @@ int main(int argc, char** argv) {
           pipemap::ParseChaosSpec(chaos_spec));
       std::fprintf(stderr, "pipemap_server: chaos armed: %s\n",
                    chaos_spec.c_str());
-    } else if (const std::optional<std::string> env =
-                   pipemap::ConfigureChaosFromEnv()) {
-      std::fprintf(stderr, "pipemap_server: chaos armed from PIPEMAP_CHAOS: %s\n",
-                   env->c_str());
     }
   } catch (const std::exception& e) {
     // A mistyped storm must fail loudly, not silently run fault-free.
