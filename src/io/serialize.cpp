@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -403,9 +405,13 @@ MachineConfig ParseMachine(std::string_view text) {
   }
   // Reject configurations the solvers would turn into NaN throughputs or
   // division-by-zero: every rate must be finite and positive, every
-  // overhead finite and non-negative, and the grid non-empty.
+  // overhead finite and non-negative, and the grid non-empty, with an
+  // area that fits total_procs()'s int.
   PIPEMAP_CHECK(machine.grid_rows >= 1 && machine.grid_cols >= 1,
                 "machine parse: grid must be at least 1x1");
+  PIPEMAP_CHECK(std::int64_t{machine.grid_rows} * machine.grid_cols <=
+                    std::numeric_limits<int>::max(),
+                "machine parse: grid area must fit an int");
   PIPEMAP_CHECK(std::isfinite(machine.node_memory_bytes) &&
                     machine.node_memory_bytes > 0,
                 "machine parse: node_memory_bytes must be finite and > 0");

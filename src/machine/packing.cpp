@@ -1,6 +1,7 @@
 #include "machine/packing.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "machine/rect.h"
 #include "support/error.h"
@@ -21,7 +22,7 @@ struct SearchState {
   std::vector<std::vector<std::pair<int, int>>> factorizations;  // per module
   std::vector<InstancePlacement> placements;
   int unplaced = 0;  // sum of remaining
-  int waste_left = 0;
+  std::int64_t waste_left = 0;
   std::uint64_t nodes = 0;
   std::uint64_t max_nodes = 0;
   bool hit_cap = false;
@@ -50,7 +51,7 @@ struct SearchState {
     for (std::size_t m = 0; m < remaining.size(); ++m) {
       if (remaining[m] == 0) continue;
       for (const auto& [h, w] : factorizations[m]) {
-        if (w > run || r + h > rows) continue;
+        if (w > run || h > rows - r) continue;
         Fill(c, w, r + h);
         --remaining[m];
         --unplaced;
@@ -85,10 +86,10 @@ PackResult PackInstances(const Mapping& mapping, int rows, int cols,
   PIPEMAP_COUNTER_ADD("machine.pack_searches", 1);
   SearchState st;
   st.rows = rows;
-  st.height.assign(static_cast<std::size_t>(cols), 0);
   st.max_nodes = max_nodes;
 
-  int total_area = 0;
+  // 64-bit areas: a wire grid's area need not fit an int.
+  std::int64_t total_area = 0;
   for (const ModuleAssignment& m : mapping.modules) {
     st.remaining.push_back(m.replicas);
     st.unplaced += m.replicas;
@@ -101,12 +102,19 @@ PackResult PackInstances(const Mapping& mapping, int rows, int cols,
       return std::abs(a.first - a.second) < std::abs(b.first - b.second);
     });
     st.factorizations.push_back(std::move(facts));
-    total_area += m.total_procs();
+    total_area += std::int64_t{m.replicas} * m.procs_per_instance;
   }
-  if (total_area > rows * cols) {
+  if (total_area > std::int64_t{rows} * cols) {
     return PackResult{false, {}, 0, false};
   }
-  st.waste_left = rows * cols - total_area;
+  // A row at least as wide as the instances' total area takes every
+  // instance in row 0 at its first factorization, left to right, on any
+  // such width: search the narrowest, so the skyline costs what the
+  // mapping costs, not what the grid does.
+  const int search_cols =
+      static_cast<int>(std::min<std::int64_t>(cols, total_area));
+  st.height.assign(static_cast<std::size_t>(search_cols), 0);
+  st.waste_left = std::int64_t{rows} * search_cols - total_area;
 
   PackResult result;
   result.success = st.Solve();

@@ -87,7 +87,21 @@ PathwayCheck CheckPathways(const Mapping& mapping,
     }
   }
 
-  LinkLoads loads(rows, cols);
+  // Every route stays inside the bounding box of its two endpoints, so
+  // the links of the placements' bounding box are the only ones loaded:
+  // count on that box, whatever the grid's size.
+  int top = rows, left = cols, bottom = 0, right = 0;
+  for (const InstancePlacement& p : placements) {
+    PIPEMAP_CHECK(p.rect.row >= 0 && p.rect.col >= 0 &&
+                      p.rect.height <= rows - p.rect.row &&
+                      p.rect.width <= cols - p.rect.col,
+                  "CheckPathways: placement outside the grid");
+    top = std::min(top, p.rect.row);
+    left = std::min(left, p.rect.col);
+    bottom = std::max(bottom, p.rect.row + p.rect.height);
+    right = std::max(right, p.rect.col + p.rect.width);
+  }
+  LinkLoads loads(std::max(0, bottom - top), std::max(0, right - left));
   PathwayCheck check;
   check.capacity = capacity;
   // Pathways terminate at individual cells; spreading the endpoints over
@@ -109,7 +123,7 @@ PathwayCheck CheckPathways(const Mapping& mapping,
       const GridRect& dst = *rects[m + 1][b];
       const auto [r0, c0] = cell_of(src, src_use[a]++);
       const auto [r1, c1] = cell_of(dst, dst_use[b]++);
-      loads.Route(r0, c0, r1, c1);
+      loads.Route(r0 - top, c0 - left, r1 - top, c1 - left);
       ++check.pathways;
     }
   }

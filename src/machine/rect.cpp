@@ -13,10 +13,12 @@ std::vector<std::pair<int, int>> RectFactorizations(int procs, int rows,
   PIPEMAP_CHECK(rows >= 1 && cols >= 1,
                 "RectFactorizations: grid must be non-empty");
   std::vector<std::pair<int, int>> out;
-  for (int h = 1; h <= rows; ++h) {
+  // A factor of `procs` is at most `procs`, so a tall grid costs nothing
+  // extra; 64-bit `h` cannot wrap when the bound is INT_MAX.
+  for (std::int64_t h = 1; h <= std::min(rows, procs); ++h) {
     if (procs % h != 0) continue;
-    const int w = procs / h;
-    if (w >= 1 && w <= cols) out.emplace_back(h, w);
+    const std::int64_t w = procs / h;
+    if (w <= cols) out.emplace_back(static_cast<int>(h), static_cast<int>(w));
   }
   return out;
 }

@@ -143,12 +143,6 @@ ServerRequest ParseServerRequest(std::string_view payload) {
       request.objective = std::string(value);
     } else if (key == "floor") {
       request.floor = CheckedDoubleField(key, value);
-    } else if (key == "datasets") {
-      request.datasets = CheckedIntField(key, value);
-    } else if (key == "noise") {
-      request.noise = CheckedDoubleField(key, value);
-    } else if (key == "seed") {
-      request.seed = CheckedIntField(key, value);
     } else if (key == "threads") {
       request.threads = CheckedIntField(key, value);
     } else if (key == "cache") {
@@ -181,12 +175,6 @@ ServerRequest ParseServerRequest(std::string_view payload) {
         }
         request.machine_text = std::string(raw);
         request.has_machine = true;
-      } else if (name == "mapping") {
-        if (request.has_mapping) {
-          throw InvalidArgument("server request: duplicate mapping section");
-        }
-        request.mapping_text = std::string(raw);
-        request.has_mapping = true;
       } else {
         throw InvalidArgument("server request: unknown section '" +
                               std::string(name) + "'");
@@ -227,9 +215,6 @@ std::string SerializeServerRequest(const ServerRequest& request) {
   out += "algorithm " + request.algorithm + "\n";
   out += "objective " + request.objective + "\n";
   if (request.floor != 0.0) out += "floor " + number(request.floor) + "\n";
-  out += "datasets " + std::to_string(request.datasets) + "\n";
-  if (request.noise != 0.0) out += "noise " + number(request.noise) + "\n";
-  out += "seed " + std::to_string(request.seed) + "\n";
   out += "threads " + std::to_string(request.threads) + "\n";
   out += std::string("cache ") + (request.use_cache ? "1" : "0") + "\n";
   const auto section = [&out](const char* name, const std::string& body) {
@@ -243,7 +228,6 @@ std::string SerializeServerRequest(const ServerRequest& request) {
   };
   if (request.has_chain) section("chain", request.chain_text);
   if (request.has_machine) section("machine", request.machine_text);
-  if (request.has_mapping) section("mapping", request.mapping_text);
   out += "end\n";
   return out;
 }

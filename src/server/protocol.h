@@ -11,7 +11,7 @@
 // Request payload grammar ("pipemap-server v1"):
 //
 //   pipemap-server v1
-//   op <map|simulate|report|ping|stats|metrics>
+//   op <map|ping|stats|metrics>
 //   [trace_id <hex>]          1-16 hex digits, nonzero: the client's end
 //                             of request tracing. Echoed in the response,
 //                             stamped on spans and the access-log line;
@@ -23,15 +23,11 @@
 //   [algorithm <dp|greedy|auto|brute>]
 //   [objective <throughput|latency>]
 //   [floor <double>]          throughput floor for latency objective
-//   [datasets <int>]          simulate/report; clamped server-side
-//   [noise <double>]          simulate/report noise level
-//   [seed <int>]
 //   [threads <int>]           solver threads; servers default to 1 and
 //                             parallelize across requests instead
 //   [cache <0|1>]             consult the shared solution cache (default 1)
 //   [section chain <nbytes>]  followed by exactly nbytes raw bytes + '\n'
 //   [section machine <nbytes>]
-//   [section mapping <nbytes>]
 //   end
 //
 // Sections carry the existing io/serialize text formats verbatim and are
@@ -63,17 +59,12 @@ struct ServerRequest {
   std::string algorithm = "auto";
   std::string objective = "throughput";
   double floor = 0.0;
-  int datasets = 200;
-  double noise = 0.0;
-  int seed = 42;
   int threads = 1;
   bool use_cache = true;
   std::string chain_text;
   std::string machine_text;
-  std::string mapping_text;
   bool has_chain = false;
   bool has_machine = false;
-  bool has_mapping = false;
 };
 
 /// Parses one request payload. Throws pipemap::InvalidArgument with a

@@ -16,9 +16,6 @@
 #include "engine/mapping_engine.h"
 #include "io/serialize.h"
 #include "machine/feasible.h"
-#include "sim/attribution.h"
-#include "sim/pipeline_sim.h"
-#include "sim/run_report.h"
 #include "support/chaos.h"
 #include "support/deadline.h"
 #include "support/error.h"
@@ -86,20 +83,6 @@ CircuitBreaker::Config SolverBreakerConfig(const ServerConfig& config) {
   return out;
 }
 
-SimOptions BuildSimOptions(const ServerRequest& req) {
-  SimOptions options;
-  options.num_datasets = req.datasets;
-  if (options.num_datasets < 1 || options.num_datasets > 1'000'000) {
-    throw InvalidArgument("datasets must be in [1, 1000000], got " +
-                          std::to_string(req.datasets));
-  }
-  options.warmup = options.num_datasets / 4;
-  options.noise.systematic_stddev = req.noise;
-  options.noise.jitter_stddev = req.noise / 3.0;
-  options.noise.seed = static_cast<std::uint64_t>(req.seed);
-  return options;
-}
-
 }  // namespace
 
 /// One admitted request. The connection thread owns the promise's future
@@ -131,9 +114,7 @@ PipemapServer::PipemapServer(ServerConfig config)
       slo_(SloConfig{config_.slo_p99_ms, config_.slo_max_error_rate,
                      config_.slo_window_s}),
       overload_(BuildOverloadConfig(config_)),
-      map_breaker_(SolverBreakerConfig(config_)),
-      simulate_breaker_(SolverBreakerConfig(config_)),
-      report_breaker_(SolverBreakerConfig(config_)) {
+      map_breaker_(SolverBreakerConfig(config_)) {
   if (config_.num_workers < 1) {
     throw InvalidArgument("ServerConfig::num_workers must be >= 1");
   }
@@ -273,10 +254,7 @@ void PipemapServer::PollOverload() {
 }
 
 CircuitBreaker* PipemapServer::SolverBreaker(const std::string& op) {
-  if (op == "map") return &map_breaker_;
-  if (op == "simulate") return &simulate_breaker_;
-  if (op == "report") return &report_breaker_;
-  return nullptr;
+  return op == "map" ? &map_breaker_ : nullptr;
 }
 
 void PipemapServer::ApplyBrownout(MapRequest* mr) {
@@ -437,11 +415,9 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
         bool drained = false;
         bool shed = false;
         double retry_after_ms = 0.0;
-        // Only solve-shaped work sheds: ping/stats/metrics are cheap and
-        // are exactly what an operator needs while the server is hot.
-        const bool sheddable = job->request.op == "map" ||
-                               job->request.op == "report" ||
-                               job->request.op == "simulate";
+        // Only solves shed: ping/stats/metrics are cheap and are exactly
+        // what an operator needs while the server is hot.
+        const bool sheddable = job->request.op == "map";
         // Refresh the burn signal (throttled) before the admission
         // decision; shedding itself reads queue depth under queue_mu_.
         PollOverload();
@@ -590,9 +566,7 @@ std::string PipemapServer::HandleRequest(const ServerRequest& request,
                                          RequestOutcome* outcome) {
   // Brownout only changes how the solver runs; ops that never solve are
   // served at full fidelity and must not be flagged degraded.
-  if (request.op != "map" && request.op != "report") {
-    outcome->degraded = false;
-  }
+  if (request.op != "map") outcome->degraded = false;
   CircuitBreaker* breaker = SolverBreaker(request.op);
   if (breaker != nullptr && !breaker->Allow()) {
     // The op's recent history is a failure streak: fail fast instead of
@@ -642,10 +616,6 @@ std::string PipemapServer::DispatchRequest(const ServerRequest& request,
     if (request.op == "map") {
       return HandleMap(request, remaining_budget_s, outcome);
     }
-    if (request.op == "simulate") return HandleSimulate(request);
-    if (request.op == "report") {
-      return HandleReport(request, remaining_budget_s, outcome);
-    }
     outcome->status = "invalid_argument";
     return ErrorJson("invalid_argument", "unknown op: " + request.op,
                      request.trace_id);
@@ -664,30 +634,17 @@ std::string PipemapServer::DispatchRequest(const ServerRequest& request,
   }
 }
 
-struct PipemapServer::Solved {
-  /// Both on the heap: the Evaluator points at the chain, and the pair
-  /// outlives Solve.
-  std::unique_ptr<const TaskChain> chain;
-  std::unique_ptr<const Evaluator> eval;
-  MapObjective objective = MapObjective::kThroughput;
-  MapResponse response;
-  Mapping mapping;  // response.mapping made feasible on the machine
-};
-
-PipemapServer::Solved PipemapServer::Solve(const ServerRequest& request,
-                                           const char* op, double budget_s,
-                                           RequestOutcome* outcome) {
+std::string PipemapServer::HandleMap(const ServerRequest& request,
+                                     double budget_s,
+                                     RequestOutcome* outcome) {
   if (!request.has_chain || !request.has_machine) {
-    throw InvalidArgument(std::string("op ") + op +
-                          " needs chain and machine sections");
+    throw InvalidArgument("op map needs chain and machine sections");
   }
-  Solved solved;
-  solved.chain =
-      std::make_unique<const TaskChain>(ParseChain(request.chain_text));
+  const TaskChain chain = ParseChain(request.chain_text);
   const MachineConfig machine = ParseMachine(request.machine_text);
 
   MapRequest mr;
-  mr.chain = solved.chain.get();
+  mr.chain = &chain;
   mr.machine = machine;
   mr.total_procs = request.procs > 0 ? request.procs : machine.total_procs();
   mr.options.num_threads = request.threads;
@@ -696,19 +653,16 @@ PipemapServer::Solved PipemapServer::Solve(const ServerRequest& request,
   mr.trace_id = request.trace_id;
   ApplySolverPolicy(request.objective, request.algorithm, request.floor, &mr);
   if (outcome->degraded) ApplyBrownout(&mr);
-  solved.objective = mr.objective;
 
   // One Evaluator per request: the engine keys and solves with it, and
-  // MakeFeasible and the report reuse it.
-  solved.eval = std::make_unique<const Evaluator>(
-      *solved.chain, mr.total_procs, machine.node_memory_bytes,
-      request.threads);
-  mr.eval = solved.eval.get();
-  solved.response = engine_->Map(mr);
-  solved.mapping = FeasibilityChecker(machine).MakeFeasible(
-      solved.response.mapping, *solved.eval);
+  // MakeFeasible and the response's numbers reuse it.
+  const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
+                       request.threads);
+  mr.eval = &eval;
+  const MapResponse response = engine_->Map(mr);
+  const Mapping mapping =
+      FeasibilityChecker(machine).MakeFeasible(response.mapping, eval);
 
-  const MapResponse& response = solved.response;
   outcome->timed_out = response.timed_out || response.budget_exhausted;
   if (outcome->timed_out) {
     std::lock_guard<std::mutex> lock(counters_mu_);
@@ -718,22 +672,13 @@ PipemapServer::Solved PipemapServer::Solve(const ServerRequest& request,
   outcome->cache_hit = response.cache_hit;
   outcome->cache_tier = response.cache_tier;
   outcome->shared_solve = response.shared_solve;
-  return solved;
-}
 
-std::string PipemapServer::HandleMap(const ServerRequest& request,
-                                     double budget_s,
-                                     RequestOutcome* outcome) {
-  const Solved solved = Solve(request, "map", budget_s, outcome);
-  const MapResponse& response = solved.response;
   // The numbers describe the served mapping, which MakeFeasible may have
   // changed from the engine's; `solver` and `exact` describe the solve.
-  const Evaluator& eval = *solved.eval;
-  const double latency = eval.Latency(solved.mapping);
-  const double objective_value =
-      solved.objective == MapObjective::kThroughput
-          ? eval.BottleneckResponse(solved.mapping)
-          : latency;
+  const double latency = eval.Latency(mapping);
+  const double objective_value = mr.objective == MapObjective::kThroughput
+                                     ? eval.BottleneckResponse(mapping)
+                                     : latency;
 
   JsonWriter w;
   w.BeginObject();
@@ -741,9 +686,9 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   w.Key("op").String("map");
   w.Key("degraded").Bool(outcome->degraded);
   w.Key("trace_id").String(FormatTraceId(request.trace_id));
-  w.Key("mapping").String(SerializeMapping(solved.mapping));
+  w.Key("mapping").String(SerializeMapping(mapping));
   w.Key("objective_value").Double(objective_value);
-  w.Key("throughput").Double(eval.Throughput(solved.mapping));
+  w.Key("throughput").Double(eval.Throughput(mapping));
   w.Key("latency").Double(latency);
   w.Key("solver").String(response.solver);
   w.Key("exact").Bool(response.exact);
@@ -758,63 +703,18 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   return w.str();
 }
 
-std::string PipemapServer::HandleSimulate(const ServerRequest& request) {
-  if (!request.has_chain || !request.has_machine || !request.has_mapping) {
-    throw InvalidArgument("op simulate needs chain, machine, and mapping");
-  }
-  const TaskChain chain = ParseChain(request.chain_text);
-  const MachineConfig machine = ParseMachine(request.machine_text);
-  const Mapping mapping = ParseMapping(request.mapping_text);
-  const SimOptions options = BuildSimOptions(request);
-
-  const SimResult result = PipelineSimulator(chain).Run(mapping, options);
-
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("ok").Bool(true);
-  w.Key("op").String("simulate");
-  w.Key("trace_id").String(FormatTraceId(request.trace_id));
-  w.Key("datasets").Int(options.num_datasets);
-  w.Key("throughput").Double(result.throughput);
-  w.Key("mean_latency").Double(result.mean_latency);
-  w.Key("makespan").Double(result.makespan);
-  w.Key("module_utilization").BeginArray();
-  for (const double u : result.module_utilization) w.Double(u);
-  w.EndArray();
-  w.EndObject();
-  return w.str();
-}
-
-std::string PipemapServer::HandleReport(const ServerRequest& request,
-                                        double budget_s,
-                                        RequestOutcome* outcome) {
-  const Solved solved = Solve(request, "report", budget_s, outcome);
-
-  const SimOptions options = BuildSimOptions(request);
-  const SimResult result =
-      PipelineSimulator(*solved.chain).Run(solved.mapping, options);
-  const BottleneckAttribution attribution = AttributeBottleneck(
-      *solved.eval, solved.mapping, result, options.num_datasets);
-
-  RunReportOptions report_options;
-  report_options.num_datasets = options.num_datasets;
-  const std::string report = BuildRunReportJson(
-      *solved.eval, solved.mapping, result, attribution, report_options);
-
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("ok").Bool(true);
-  w.Key("op").String("report");
-  w.Key("degraded").Bool(outcome->degraded);
-  w.Key("trace_id").String(FormatTraceId(request.trace_id));
-  w.Key("solver").String(solved.response.solver);
-  w.Key("timed_out").Bool(outcome->timed_out);
-  w.Key("report").Raw(report);
-  w.EndObject();
-  return w.str();
-}
-
 std::string PipemapServer::HandleStats(const ServerRequest& request) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("ok").Bool(true);
+  w.Key("op").String("stats");
+  w.Key("trace_id").String(FormatTraceId(request.trace_id));
+  WriteState(w);
+  w.EndObject();
+  return w.str();
+}
+
+void PipemapServer::WriteState(JsonWriter& w) const {
   const ServerCounters snapshot = counters();
   const SolutionCacheStats cache = engine_->cache().stats();
   const SingleFlightStats flights = engine_->single_flight_stats();
@@ -825,11 +725,6 @@ std::string PipemapServer::HandleStats(const ServerRequest& request) {
     std::lock_guard<std::mutex> lock(queue_mu_);
     depth = queue_.size();
   }
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("ok").Bool(true);
-  w.Key("op").String("stats");
-  w.Key("trace_id").String(FormatTraceId(request.trace_id));
   w.Key("server").BeginObject();
   w.Key("connections").UInt(snapshot.connections);
   w.Key("accepted").UInt(snapshot.accepted);
@@ -907,17 +802,12 @@ std::string PipemapServer::HandleStats(const ServerRequest& request) {
   w.Key("brownout_recoveries").UInt(overload.brownout_recoveries);
   w.EndObject();
   w.Key("breakers").BeginObject();
-  const auto breaker_block = [&w](const char* name, CircuitBreaker& b) {
-    const CircuitBreaker::Stats stats = b.stats();
-    w.Key(name).BeginObject();
-    w.Key("state").String(ToString(b.state()));
-    w.Key("opens").UInt(stats.opens);
-    w.Key("rejected").UInt(stats.rejected);
-    w.EndObject();
-  };
-  breaker_block("map", map_breaker_);
-  breaker_block("simulate", simulate_breaker_);
-  breaker_block("report", report_breaker_);
+  const CircuitBreaker::Stats breaker = map_breaker_.stats();
+  w.Key("map").BeginObject();
+  w.Key("state").String(ToString(map_breaker_.state()));
+  w.Key("opens").UInt(breaker.opens);
+  w.Key("rejected").UInt(breaker.rejected);
+  w.EndObject();
   w.EndObject();
   ChaosInjector& chaos = ChaosInjector::Global();
   w.Key("chaos").BeginObject();
@@ -928,8 +818,6 @@ std::string PipemapServer::HandleStats(const ServerRequest& request) {
         .UInt(chaos_stats.injected[s]);
   }
   w.EndObject();
-  w.EndObject();
-  return w.str();
 }
 
 std::string PipemapServer::HandleMetrics(const ServerRequest& request) {

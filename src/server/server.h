@@ -5,7 +5,9 @@
 // protocol in server/protocol.h, a bounded admission queue decouples
 // connection handling from solving, and a fixed pool of solver workers
 // drains the queue into one shared MappingEngine — so every request in
-// the process sees the same solution cache.
+// the process sees the same solution cache. `map` is the one solve op;
+// `ping`, `stats` and `metrics` are the control plane. Simulating a
+// mapping is the CLI's job (`pipemap_cli simulate` / `report`).
 //
 // Threading model:
 //   * one accept thread; one lightweight thread per connection (reads
@@ -63,6 +65,7 @@
 #include "support/circuit_breaker.h"
 
 namespace pipemap {
+class JsonWriter;
 class MappingEngine;
 struct MapRequest;
 }  // namespace pipemap
@@ -103,10 +106,10 @@ struct ServerConfig {
   /// down and the slot freed (counted in idle_timeouts). 0 disables.
   double idle_timeout_s = 0.0;
 
-  /// Per-op solver circuit breaker: this many consecutive *internal*
-  /// handler failures on one solve op (map / simulate / report) open the
-  /// breaker, and further requests for that op fail fast with a
-  /// `circuit_open` error until a cooldown probe heals it. <= 0 disables.
+  /// Solver circuit breaker: this many consecutive *internal* failures of
+  /// the `map` op open the breaker, and further `map` requests fail fast
+  /// with a `circuit_open` error until a cooldown probe heals it. <= 0
+  /// disables.
   int solver_breaker_failures = 8;
   double solver_breaker_cooldown_s = 1.0;
 
@@ -180,6 +183,12 @@ class PipemapServer {
   /// No-op without an access log. The drain path and the tests use it.
   void FlushAccessLog();
 
+  /// Writes the daemon's state into the open JSON object `w` as the
+  /// blocks server, cache, singleflight, slo, access_log, overload,
+  /// breakers and chaos. The `stats` op and the daemon's drain document
+  /// are these blocks under their own envelope.
+  void WriteState(JsonWriter& w) const;
+
  private:
   struct Job;
   struct Connection;
@@ -212,22 +221,17 @@ class PipemapServer {
   std::string HandleRequest(const ServerRequest& request,
                             double remaining_budget_s,
                             RequestOutcome* outcome);
-  /// HandleRequest's dispatch body; HandleRequest wraps it with the
-  /// per-op solver circuit breaker (fail fast with `circuit_open` while
-  /// open, feed it internal-failure outcomes while closed).
+  /// HandleRequest's dispatch body; HandleRequest wraps `map` with the
+  /// solver circuit breaker (fail fast with `circuit_open` while open,
+  /// feed it internal-failure outcomes while closed).
   std::string DispatchRequest(const ServerRequest& request,
                               double remaining_budget_s,
                               RequestOutcome* outcome);
-  /// The map and report ops' shared solve: parse, map on one Evaluator
-  /// (brownout applied), MakeFeasible, record `outcome` and the counters.
-  struct Solved;
-  Solved Solve(const ServerRequest& request, const char* op, double budget_s,
-               RequestOutcome* outcome);
+  /// The daemon's one solve: parse, map on one Evaluator (brownout
+  /// applied), MakeFeasible, record `outcome` and the counters, and render
+  /// the served mapping.
   std::string HandleMap(const ServerRequest& request, double budget_s,
                         RequestOutcome* outcome);
-  std::string HandleSimulate(const ServerRequest& request);
-  std::string HandleReport(const ServerRequest& request, double budget_s,
-                           RequestOutcome* outcome);
   std::string HandleStats(const ServerRequest& request);
   std::string HandleMetrics(const ServerRequest& request);
 
@@ -257,7 +261,7 @@ class PipemapServer {
   /// request.
   void PollOverload();
 
-  /// The solve-shaped op's breaker, or nullptr for ops that never touch
+  /// The solver breaker for `map`, or nullptr for ops that never touch
   /// the solver (ping / stats / metrics).
   CircuitBreaker* SolverBreaker(const std::string& op);
 
@@ -277,7 +281,7 @@ class PipemapServer {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
 
-  std::mutex queue_mu_;
+  mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<std::shared_ptr<Job>> queue_;
   /// Set under queue_mu_ by Drain: workers finish the queue, then exit.
@@ -296,10 +300,9 @@ class PipemapServer {
   OverloadController overload_;
   /// steady_clock nanos of the last burn-signal poll (0 = never).
   std::atomic<std::int64_t> last_burn_poll_ns_{0};
-  /// Per-op solver breakers (consecutive internal failures fail fast).
+  /// The `map` op's solver breaker (consecutive internal failures fail
+  /// fast).
   CircuitBreaker map_breaker_;
-  CircuitBreaker simulate_breaker_;
-  CircuitBreaker report_breaker_;
 };
 
 }  // namespace pipemap::server

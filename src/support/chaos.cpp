@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "support/error.h"
+#include "support/hash.h"
 #include "support/metrics.h"
 #include "support/parse.h"
 
@@ -11,19 +12,12 @@ namespace pipemap {
 
 namespace {
 
-/// splitmix64 finalizer: a cheap, well-mixed 64-bit hash. The decision
-/// for (seed, seam, draw) is this hash mapped onto [0, 1).
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
+/// The decision for (seed, seam, draw): a splitmix64 hash mapped onto
+/// [0, 1).
 double UnitDraw(std::uint64_t seed, int seam, std::uint64_t draw) {
-  const std::uint64_t h =
-      Mix64(seed ^ Mix64(static_cast<std::uint64_t>(seam) * 0x100000001b3ull +
-                         draw));
+  const std::uint64_t h = SplitMix64(
+      seed ^ SplitMix64(static_cast<std::uint64_t>(seam) * 0x100000001b3ull +
+                        draw));
   // Top 53 bits → [0, 1) with full double precision.
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }

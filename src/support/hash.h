@@ -1,5 +1,6 @@
-// Non-cryptographic 64-bit hashing: FNV-1a over byte strings, and a
-// word-at-a-time mix over tables of doubles.
+// Non-cryptographic 64-bit hashing: FNV-1a over byte strings, a
+// word-at-a-time mix over tables of doubles, and splitmix64 over single
+// words.
 //
 // FNV-1a is the byte hash (the disk tier's payload checksum, short
 // strings inside engine keys). The word mix hashes the Evaluator's cost
@@ -53,6 +54,18 @@ constexpr std::uint64_t Avalanche(std::uint64_t h) {
   h *= 0xc4ceb9fe1a85ec53ull;
   h ^= h >> 33;
   return h;
+}
+
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64: the golden-ratio increment, then its finalizer. A
+/// bijection with full avalanche: it seeds Rng's state, decides chaos
+/// draws and scrambles generated trace ids.
+constexpr std::uint64_t SplitMix64(std::uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
 }
 
 /// Folds `v` into the running hash `h`; bijective in each argument.

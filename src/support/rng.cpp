@@ -3,17 +3,10 @@
 #include <cmath>
 
 #include "support/error.h"
+#include "support/hash.h"
 
 namespace pipemap {
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -22,8 +15,11 @@ std::uint64_t Rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(sm);
+  // The first four outputs of the splitmix64 stream that starts at `seed`.
+  for (auto& s : s_) {
+    s = SplitMix64(seed);
+    seed += kSplitMix64Gamma;
+  }
 }
 
 std::uint64_t Rng::NextU64() {

@@ -3,20 +3,13 @@
 #include <atomic>
 #include <chrono>
 
+#include "support/hash.h"
+
 namespace pipemap {
 namespace {
 
-/// splitmix64 finalizer: bijective, so distinct counter values can never
-/// collide under one seed.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t ProcessSeed() {
-  static const std::uint64_t seed = Mix(static_cast<std::uint64_t>(
+  static const std::uint64_t seed = SplitMix64(static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count()));
   return seed;
 }
@@ -33,10 +26,13 @@ int HexDigit(char c) {
 std::uint64_t GenerateTraceId() {
   static std::atomic<std::uint64_t> counter{0};
   const std::uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
-  // Masked to 63 bits: generated ids ride Tracer span args, which are
-  // int64 with negative meaning "no arg" — a top-bit id would vanish
-  // from the Chrome export and break the trace_join correlation.
-  const std::uint64_t id = Mix(ProcessSeed() ^ n) & 0x7fffffffffffffffull;
+  // SplitMix64 is bijective, so distinct counter values never collide
+  // under one seed. Masked to 63 bits: generated ids ride Tracer span
+  // args, which are int64 with negative meaning "no arg" — a top-bit id
+  // would vanish from the Chrome export and break the trace_join
+  // correlation.
+  const std::uint64_t id =
+      SplitMix64(ProcessSeed() ^ n) & 0x7fffffffffffffffull;
   return id != 0 ? id : 1;  // 0 is the "unassigned" sentinel
 }
 

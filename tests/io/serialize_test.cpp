@@ -372,6 +372,7 @@ TEST(MalformedCorpusTest, CorruptedMachinesAreRejected) {
 
   const std::vector<std::pair<std::string, std::string>> corpus = {
       {"grid", "0"},                     // empty grid
+      {"grid", "268435456"},             // area 2^31 overflows an int
       {"node_memory_bytes", "nan"},      // poisoned capacity
       {"node_memory_bytes", "-5"},       // negative capacity
       {"node_flops", "0"},               // division by zero downstream

@@ -326,6 +326,31 @@ TEST(PackingDifferentialTest, RandomInstanceSetsMatchTheByteGrid) {
   EXPECT_GT(capped, 0);
 }
 
+TEST(PackingDifferentialTest, WideGridsMatchTheByteGrid) {
+  // Grids at least as wide as the instances' total area: the search may
+  // narrow to that area, and must still answer as the full byte grid.
+  Rng rng(20261020);
+  for (int set = 0; set < 500; ++set) {
+    Mapping mapping;
+    int area = 0;
+    const int modules = rng.UniformInt(1, 6);
+    for (int i = 0; i < modules; ++i) {
+      const int replicas = rng.UniformInt(1, 4);
+      const int procs = rng.UniformInt(1, 12);
+      mapping.modules.push_back(ModuleAssignment{i, i, replicas, procs});
+      area += replicas * procs;
+    }
+    const int rows = rng.UniformInt(1, 12);
+    for (const int cols : {area, area + 1, rng.UniformInt(area, area + 199),
+                           area + 199}) {
+      SCOPED_TRACE("set " + std::to_string(set) + " grid " +
+                   std::to_string(rows) + "x" + std::to_string(cols));
+      ExpectSameAsLegacy(mapping, rows, cols, 3);
+      ExpectSameAsLegacy(mapping, rows, cols, 200'000);
+    }
+  }
+}
+
 TEST(PackingDifferentialTest, SyntheticDpMappingsMatchTheByteGrid) {
   // cold_dp-shaped requests (k=10, P=128 on a 12x11 grid): each DP
   // mapping and every one-replica reduction of it, as MakeFeasible's

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace pipemap {
 namespace {
@@ -91,6 +96,16 @@ TEST(CheckPathwaysTest, MissingPlacementThrows) {
   EXPECT_THROW(CheckPathways(m, placements, 2, 2, 4), InvalidArgument);
 }
 
+TEST(CheckPathwaysTest, PlacementOutsideTheGridThrows) {
+  const Mapping m = TwoModules(1, 4, 1, 4);
+  const std::vector<InstancePlacement> placements = {
+      {0, 0, GridRect{0, 0, 2, 2}},
+      {1, 0, GridRect{1, 2, 2, 2}},  // rows 1-2 of a 2-row grid
+  };
+  EXPECT_THROW(CheckPathways(m, placements, 2, 4, 4), InvalidArgument);
+  EXPECT_TRUE(CheckPathways(m, placements, 3, 4, 4).ok);
+}
+
 TEST(CheckPathwaysTest, SamePositionPathwayUsesNoLinks) {
   // Sender and receiver rectangle centers coincide: no link traversed.
   const Mapping m = TwoModules(1, 2, 1, 2);
@@ -101,6 +116,96 @@ TEST(CheckPathwaysTest, SamePositionPathwayUsesNoLinks) {
   const PathwayCheck check = CheckPathways(m, placements, 2, 2, 1);
   EXPECT_TRUE(check.ok);
   EXPECT_EQ(check.max_link_load, 0);
+}
+
+/// The same endpoints and dimension-ordered routes as CheckPathways, with
+/// the link loads in a map keyed by (vertical?, row, col), so no array is
+/// sized by the grid.
+PathwayCheck SparseReferenceCheck(
+    const Mapping& mapping, const std::vector<InstancePlacement>& placements,
+    int capacity) {
+  std::vector<std::vector<GridRect>> rects(mapping.num_modules());
+  for (int m = 0; m < mapping.num_modules(); ++m) {
+    rects[m].resize(mapping.modules[m].replicas);
+  }
+  for (const InstancePlacement& p : placements) {
+    rects[p.module][p.instance] = p.rect;
+  }
+  std::map<std::tuple<bool, int, int>, int> load;
+  PathwayCheck check;
+  check.capacity = capacity;
+  for (int m = 0; m + 1 < mapping.num_modules(); ++m) {
+    std::vector<int> src_use(mapping.modules[m].replicas, 0);
+    std::vector<int> dst_use(mapping.modules[m + 1].replicas, 0);
+    for (const auto& [a, b] : CommunicatingPairs(
+             mapping.modules[m].replicas, mapping.modules[m + 1].replicas)) {
+      const GridRect& s = rects[m][a];
+      const GridRect& d = rects[m + 1][b];
+      const int i = src_use[a]++ % (s.height * s.width);
+      const int j = dst_use[b]++ % (d.height * d.width);
+      const int r0 = s.row + i / s.width, c0 = s.col + i % s.width;
+      const int r1 = d.row + j / d.width, c1 = d.col + j % d.width;
+      for (int c = std::min(c0, c1); c < std::max(c0, c1); ++c) {
+        ++load[{false, r0, c}];
+      }
+      for (int r = std::min(r0, r1); r < std::max(r0, r1); ++r) {
+        ++load[{true, r, c1}];
+      }
+      ++check.pathways;
+    }
+  }
+  for (const auto& [link, n] : load) {
+    check.max_link_load = std::max(check.max_link_load, n);
+  }
+  check.ok = check.max_link_load <= capacity;
+  return check;
+}
+
+TEST(CheckPathwaysTest, ShiftedPackingsMatchASparseReference) {
+  // Packings moved off the grid's corner and into a larger grid: the
+  // loads depend on the placements alone, wherever they sit.
+  Rng rng(20261021);
+  int checked = 0;
+  int overloaded = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const int rows = rng.UniformInt(1, 12);
+    const int cols = rng.UniformInt(1, 12);
+    Mapping mapping;
+    int area = 0;
+    const int modules = rng.UniformInt(1, 5);
+    for (int i = 0; i < modules; ++i) {
+      const int replicas = rng.UniformInt(1, 4);
+      const int procs = rng.UniformInt(1, 6);
+      if (area + replicas * procs > rows * cols) break;
+      mapping.modules.push_back(ModuleAssignment{i, i, replicas, procs});
+      area += replicas * procs;
+    }
+    if (mapping.modules.empty()) continue;
+    const PackResult packed = PackInstances(mapping, rows, cols);
+    if (!packed.success) continue;
+    const int dr = rng.UniformInt(0, 20);
+    const int dc = rng.UniformInt(0, 20);
+    std::vector<InstancePlacement> shifted = packed.placements;
+    for (InstancePlacement& p : shifted) {
+      p.rect.row += dr;
+      p.rect.col += dc;
+    }
+    const int grid_rows = dr + rows + rng.UniformInt(0, 20);
+    const int grid_cols = dc + cols + rng.UniformInt(0, 20);
+    const int capacity = rng.UniformInt(1, 6);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const PathwayCheck want = SparseReferenceCheck(mapping, shifted, capacity);
+    const PathwayCheck got =
+        CheckPathways(mapping, shifted, grid_rows, grid_cols, capacity);
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.max_link_load, want.max_link_load);
+    EXPECT_EQ(got.pathways, want.pathways);
+    EXPECT_EQ(got.capacity, capacity);
+    ++checked;
+    overloaded += !want.ok;
+  }
+  EXPECT_GT(checked, 300);
+  EXPECT_GT(overloaded, 0);
 }
 
 }  // namespace

@@ -79,6 +79,20 @@ TEST(RectTest, InvalidInputsThrow) {
   EXPECT_THROW(RectFactorizations(4, 0, 8), InvalidArgument);
 }
 
+TEST(RectTest, RowsBeyondTheCountChangeNoFactorization) {
+  // No factor of p exceeds p, so a grid taller than p factors p exactly
+  // as a grid p rows tall does.
+  for (int p = 1; p <= 60; ++p) {
+    for (const int cols : {1, 2, 7, p, 100'000}) {
+      const auto want = RectFactorizations(p, p, cols);
+      for (const int rows : {p + 1, 2 * p + 7, 100'000}) {
+        EXPECT_EQ(RectFactorizations(p, rows, cols), want)
+            << "p=" << p << " grid " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
 // Property: p is feasible iff it has a divisor h <= rows with p/h <= cols.
 class RectSweep : public ::testing::TestWithParam<int> {};
 

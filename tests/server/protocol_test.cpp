@@ -24,9 +24,6 @@ TEST(ProtocolTest, RoundTripsAllFields) {
   request.algorithm = "dp";
   request.objective = "latency";
   request.floor = 0.25;
-  request.datasets = 321;
-  request.noise = 0.05;
-  request.seed = 7;
   request.threads = 2;
   request.use_cache = false;
   request.chain_text = "pipemap-chain v1\nwith\nnewlines";
@@ -42,16 +39,12 @@ TEST(ProtocolTest, RoundTripsAllFields) {
   EXPECT_EQ(parsed.algorithm, "dp");
   EXPECT_EQ(parsed.objective, "latency");
   EXPECT_EQ(parsed.floor, 0.25);
-  EXPECT_EQ(parsed.datasets, 321);
-  EXPECT_EQ(parsed.noise, 0.05);
-  EXPECT_EQ(parsed.seed, 7);
   EXPECT_EQ(parsed.threads, 2);
   EXPECT_FALSE(parsed.use_cache);
   EXPECT_TRUE(parsed.has_chain);
   EXPECT_EQ(parsed.chain_text, request.chain_text);
   EXPECT_TRUE(parsed.has_machine);
   EXPECT_EQ(parsed.machine_text, "machine body");
-  EXPECT_FALSE(parsed.has_mapping);
 }
 
 TEST(ProtocolTest, TraceIdRoundTripsInCanonicalForm) {
@@ -104,13 +97,14 @@ TEST(ProtocolTest, SectionsAreByteCountedNotScanned) {
   // A section body containing protocol keywords must pass through raw:
   // byte counting means content is never mistaken for grammar.
   ServerRequest request;
-  request.op = "simulate";
-  request.mapping_text = "end\nsection chain 3\nop x\n";
-  request.has_mapping = true;
+  request.op = "map";
+  request.chain_text = "end\nsection chain 3\nop x\n";
+  request.has_chain = true;
   const ServerRequest parsed =
       ParseServerRequest(SerializeServerRequest(request));
-  EXPECT_EQ(parsed.mapping_text, request.mapping_text);
-  EXPECT_EQ(parsed.op, "simulate");
+  EXPECT_EQ(parsed.chain_text, request.chain_text);
+  EXPECT_EQ(parsed.op, "map");
+  EXPECT_FALSE(parsed.has_machine);
 }
 
 TEST(ProtocolTest, RejectsMalformedPayloads) {
@@ -124,6 +118,12 @@ TEST(ProtocolTest, RejectsMalformedPayloads) {
   rejects("pipemap-server v1\nop ping\n");               // missing end
   rejects("pipemap-server v1\nop ping\nend\nx");         // trailing bytes
   rejects("pipemap-server v1\nop ping\nbogus 1\nend\n"); // unknown key
+  // No op simulates, so simulation settings and a mapping section are
+  // unknown too.
+  rejects("pipemap-server v1\nop map\ndatasets 200\nend\n");
+  rejects("pipemap-server v1\nop map\nnoise 0.1\nend\n");
+  rejects("pipemap-server v1\nop map\nseed 1\nend\n");
+  rejects("pipemap-server v1\nop map\nsection mapping 0\n\nend\n");
   rejects("pipemap-server v1\nop ping\nnoline\nend\n");  // key without value
   rejects("pipemap-server v1\nop ping\nprocs 4x\nend\n");
   rejects("pipemap-server v1\nop ping\ndeadline_s inf\nend\n");

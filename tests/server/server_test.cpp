@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "core/evaluator.h"
 #include "engine/mapping_engine.h"
@@ -220,25 +221,67 @@ TEST(ServerTest, MapResponseNumbersDescribeTheServedMapping) {
   EXPECT_NE(response.find(latency_fragment), std::string::npos) << response;
 }
 
-TEST(ServerTest, SimulateAndReportRoundTrip) {
+TEST(ServerTest, SimulateAndReportAreUnknownOps) {
   TestServer ts;
-  const Problem problem = MakeProblem(4, 8);
-
   ServerClient client = ts.Connect();
-  ServerRequest map = MapRequestFor(problem);
-  const std::string map_response = CheckedCall(client, map);
-  ASSERT_TRUE(IsOk(map_response));
+  for (const char* op : {"simulate", "report"}) {
+    ServerRequest request = MapRequestFor(MakeProblem(4, 8));
+    request.op = op;
+    const std::string response = CheckedCall(client, request);
+    EXPECT_NE(response.find("\"code\": \"invalid_argument\""),
+              std::string::npos)
+        << response;
+    EXPECT_NE(response.find(std::string("unknown op: ") + op),
+              std::string::npos)
+        << response;
+  }
+  // The connection survives and still solves.
+  EXPECT_TRUE(IsOk(CheckedCall(client, MapRequestFor(MakeProblem(4, 8)))));
+}
 
-  // Pull the serialized mapping back out of the response (it is a JSON
-  // string right after the "mapping" key; take the full report path for
-  // simulate instead of hand-parsing JSON).
-  ServerRequest report = MapRequestFor(problem);
-  report.op = "report";
-  report.datasets = 64;
-  const std::string report_response = CheckedCall(client, report);
-  EXPECT_TRUE(IsOk(report_response));
-  EXPECT_NE(report_response.find("\"schema_version\""), std::string::npos);
-  EXPECT_NE(report_response.find("\"simulated\""), std::string::npos);
+TEST(ServerTest, HugeGridsAreAnsweredAtTheMappingsCost) {
+  // Wire grids with areas near INT_MAX: the feasibility check after the
+  // solve sizes nothing by the grid, so a tall grid wraps no int loop
+  // into a division by zero and a wide one asks for no 8 GiB skyline or
+  // link array.
+  TestServer ts;
+  ServerClient client = ts.Connect();
+  const Problem problem = MakeProblem(4, 64);
+  const auto request_on = [&](int rows, int cols, CommMode mode) {
+    MachineConfig machine = ParseMachine(problem.machine_text);
+    machine.grid_rows = rows;
+    machine.grid_cols = cols;
+    machine.comm_mode = mode;
+    ServerRequest request = MapRequestFor(problem);
+    request.machine_text = SerializeMachine(machine);
+    request.procs = 64;
+    request.use_cache = false;
+    return request;
+  };
+  const int kIntMax = std::numeric_limits<int>::max();
+  const struct {
+    int rows, cols;
+    CommMode mode;
+  } hostile[] = {{kIntMax, 1, CommMode::kMessage},
+                 {kIntMax, 1, CommMode::kSystolic},
+                 {1, kIntMax, CommMode::kMessage},
+                 {40000, 50000, CommMode::kSystolic}};
+  for (const auto& grid : hostile) {
+    const std::string response =
+        CheckedCall(client, request_on(grid.rows, grid.cols, grid.mode));
+    EXPECT_TRUE(IsOk(response)) << grid.rows << "x" << grid.cols << " "
+                                << ToString(grid.mode) << ": " << response;
+  }
+  // An area past INT_MAX does not fit total_procs(): refused at parse.
+  const std::string overflow =
+      CheckedCall(client, request_on(65536, 65537, CommMode::kMessage));
+  EXPECT_NE(overflow.find("\"code\": \"invalid_argument\""),
+            std::string::npos)
+      << overflow;
+  EXPECT_NE(overflow.find("grid area must fit an int"), std::string::npos)
+      << overflow;
+
+  EXPECT_TRUE(IsOk(CheckedCall(client, request_on(8, 8, CommMode::kMessage))));
 }
 
 TEST(ServerTest, HostileFramesGetErrorsAndTheConnectionSurvives) {

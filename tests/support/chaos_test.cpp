@@ -3,6 +3,7 @@
 // is process-global, so every test Resets it on the way out.
 #include "support/chaos.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -104,6 +105,24 @@ TEST(ChaosInjectorTest, DecisionSequenceIsDeterministicPerSeed) {
     different.push_back(injector.ShouldInject(ChaosSeam::kConnDrop));
   }
   EXPECT_NE(first, different);
+}
+
+TEST(ChaosInjectorTest, DecisionSequenceIsPinned) {
+  // A storm replays per seed: bit i of each mask is the seam's i-th
+  // decision under this spec, with the two seams' draws interleaved.
+  ChaosGuard guard;
+  ChaosInjector& injector = ChaosInjector::Global();
+  injector.Configure(ParseChaosSpec("seed=7,conn_drop=0.3,solver_slow=0.5"));
+  std::uint64_t conn_drop = 0;
+  std::uint64_t solver_slow = 0;
+  for (int i = 0; i < 64; ++i) {
+    if (injector.ShouldInject(ChaosSeam::kConnDrop)) conn_drop |= 1ull << i;
+    if (injector.ShouldInject(ChaosSeam::kSolverSlow)) {
+      solver_slow |= 1ull << i;
+    }
+  }
+  EXPECT_EQ(conn_drop, 0x2281dec082981659ull);
+  EXPECT_EQ(solver_slow, 0xeb15d560e109e9afull);
 }
 
 TEST(ChaosInjectorTest, CountsDrawsAndInjectionsPerSeam) {

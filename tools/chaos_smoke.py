@@ -14,9 +14,9 @@ it is that the failure envelope stays clean:
     mismatches, no connection exhausted its retry budget (injected
     drops and truncations must surface as clean reconnect-and-retry,
     never as garbage frames);
-  * the storm demonstrably fired (the drain document's chaos block
-    reports at least one injection — a smoke that injects nothing
-    proves nothing);
+  * the storm demonstrably fired (the drain document's chaos block is
+    enabled and reports at least one injection — a smoke that injects
+    nothing proves nothing);
   * SIGTERM still drains within the timeout and prints
     '"drained": true' — chaos must not wedge graceful shutdown.
 
@@ -107,9 +107,10 @@ def main() -> int:
         if '"drained": true' not in out:
             fail("no drain document on stdout")
         drain = json.loads(out)
-        injected = drain.get("chaos")
-        if injected is None:
-            fail("drain document has no chaos block — storm never armed")
+        injected = dict(drain["chaos"])
+        if not injected.pop("enabled"):
+            fail("drain document's chaos block is not enabled — storm "
+                 "never armed")
         fired = sum(injected.values())
         if fired == 0:
             fail("chaos armed but injected nothing; raise the "

@@ -390,6 +390,19 @@ int MapCommand(const std::vector<std::string>& args, std::ostream& out) {
   return 0;
 }
 
+/// The simulation settings of --datasets, --noise and --seed: a warm-up
+/// of a quarter of the data sets, and jitter of a third of the noise.
+SimOptions SimOptionsFromFlags(const Flags& flags) {
+  SimOptions options;
+  options.num_datasets = flags.GetInt("datasets", 400);
+  options.warmup = options.num_datasets / 4;
+  const double noise = flags.GetDouble("noise", 0.0);
+  options.noise.systematic_stddev = noise;
+  options.noise.jitter_stddev = noise / 3.0;
+  options.noise.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+  return options;
+}
+
 int SimulateCommand(const std::vector<std::string>& args, std::ostream& out) {
   const Flags flags("simulate", args, 1,
                     {"chain", "machine", "mapping", "datasets", "noise",
@@ -398,13 +411,7 @@ int SimulateCommand(const std::vector<std::string>& args, std::ostream& out) {
   const Mapping mapping =
       ParseMapping(ReadTextFile(flags.Require("mapping")));
 
-  SimOptions options;
-  options.num_datasets = flags.GetInt("datasets", 400);
-  options.warmup = options.num_datasets / 4;
-  const double noise = flags.GetDouble("noise", 0.0);
-  options.noise.systematic_stddev = noise;
-  options.noise.jitter_stddev = noise / 3.0;
-  options.noise.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+  SimOptions options = SimOptionsFromFlags(flags);
 
   FaultPlan plan;
   if (const auto spec = flags.Get("faults")) {
@@ -501,14 +508,7 @@ int ReportCommand(const std::vector<std::string>& args, std::ostream& out) {
     mapping = FeasibilityChecker(problem.machine).MakeFeasible(mapping, eval);
   }
 
-  SimOptions sim_options;
-  sim_options.num_datasets = flags.GetInt("datasets", 400);
-  sim_options.warmup = sim_options.num_datasets / 4;
-  const double noise = flags.GetDouble("noise", 0.0);
-  sim_options.noise.systematic_stddev = noise;
-  sim_options.noise.jitter_stddev = noise / 3.0;
-  sim_options.noise.seed =
-      static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+  const SimOptions sim_options = SimOptionsFromFlags(flags);
 
   const SimResult result =
       PipelineSimulator(problem.chain).Run(mapping, sim_options);

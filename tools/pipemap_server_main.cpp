@@ -7,7 +7,8 @@
 // stays async-signal-safe; the main thread then runs the graceful drain:
 // admitted solves finish (bounded by their own deadlines), new requests
 // get clean `draining` errors, and the process exits 0 with a final
-// counters document on stdout.
+// state document on stdout: `"drained": true` and the blocks of the
+// `stats` op.
 //
 // Observability flags (DESIGN.md §9): --access-log writes the structured
 // per-request JSONL log, --trace records server/engine spans and dumps
@@ -63,7 +64,10 @@ int Usage() {
       "\n"
       "Runs the mapping daemon until SIGTERM/SIGINT, then drains:\n"
       "in-flight solves finish or time out, new requests are\n"
-      "refused with a clean error, and the process exits 0.\n"
+      "refused with a clean error, and the process exits 0 after\n"
+      "printing the stats op's state blocks under \"drained\": true.\n"
+      "Ops: map (the one solve), ping, stats, metrics; simulate or\n"
+      "report on a mapping with pipemap_cli.\n"
       "--port 0 (default) binds an ephemeral port; the bound\n"
       "address is printed on stdout as 'listening HOST PORT'.\n"
       "--access-log appends one JSONL line per request (trace_id, op,\n"
@@ -243,55 +247,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const pipemap::server::ServerCounters counters = server.counters();
-  const pipemap::server::SloState slo = server.slo();
-  const pipemap::AccessLogger::Stats log_stats = server.access_log_stats();
   pipemap::JsonWriter w;
   w.BeginObject();
   w.Key("drained").Bool(true);
-  w.Key("connections").UInt(counters.connections);
-  w.Key("accepted").UInt(counters.accepted);
-  w.Key("rejected").UInt(counters.rejected);
-  w.Key("completed").UInt(counters.completed);
-  w.Key("timed_out").UInt(counters.timed_out);
-  w.Key("parse_errors").UInt(counters.parse_errors);
-  w.Key("shed").UInt(counters.shed);
-  w.Key("degraded").UInt(counters.degraded);
-  w.Key("idle_timeouts").UInt(counters.idle_timeouts);
-  w.Key("breaker_fast_fails").UInt(counters.breaker_fast_fails);
-  const pipemap::server::OverloadState overload = server.overload_state();
-  w.Key("overload").BeginObject();
-  w.Key("degraded").Bool(overload.degraded);
-  w.Key("brownout_entries").UInt(overload.brownout_entries);
-  w.Key("brownout_recoveries").UInt(overload.brownout_recoveries);
-  w.EndObject();
-  pipemap::ChaosInjector& chaos = pipemap::ChaosInjector::Global();
-  if (chaos.enabled()) {
-    const pipemap::ChaosStats chaos_stats = chaos.stats();
-    w.Key("chaos").BeginObject();
-    for (int s = 0; s < pipemap::kChaosSeamCount; ++s) {
-      w.Key(pipemap::ChaosSeamName(static_cast<pipemap::ChaosSeam>(s)))
-          .UInt(chaos_stats.injected[s]);
-    }
-    w.EndObject();
-  }
-  w.Key("slo").BeginObject();
-  w.Key("window_s").Int(slo.window_s);
-  w.Key("requests").UInt(slo.requests);
-  w.Key("errors").UInt(slo.errors);
-  w.Key("error_rate").Double(slo.error_rate);
-  w.Key("p50_ms").Double(slo.p50_ms);
-  w.Key("p99_ms").Double(slo.p99_ms);
-  w.Key("p99_burn_ratio").Double(slo.p99_burn_ratio);
-  w.Key("error_burn_ratio").Double(slo.error_burn_ratio);
-  w.Key("burning").Bool(slo.burning);
-  w.EndObject();
-  w.Key("access_log").BeginObject();
-  w.Key("lines_written").UInt(log_stats.lines_written);
-  w.Key("lines_dropped").UInt(log_stats.lines_dropped);
-  w.Key("rotations").UInt(log_stats.rotations);
-  w.Key("bytes_written").UInt(log_stats.bytes_written);
-  w.EndObject();
+  server.WriteState(w);
   w.EndObject();
   std::fputs(w.str().c_str(), stdout);
   return 0;
